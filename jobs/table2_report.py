@@ -2,8 +2,7 @@
 
 Runs report generation with the eager (Pandas-profiling-style) baseline
 and the fused DataPrep.EDA pipeline over the 15 Table-2 dataset shapes,
-then prints the paper-vs-measured Markdown table (pasted into
-EXPERIMENTS.md).
+then prints the paper-vs-measured Markdown table.
 
 Usage::
 

@@ -29,20 +29,20 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compute import missing_expr
 from repro.core.config import Config
 from repro.core.correlation import kendall_matrix
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.intermediates import Intermediates
+from repro.substrate.sparkutils import bin_sql, missing_count_sql, numeric_sql, quote
 
 
 def _numeric_clean(df: DataFrame, col: str) -> DataFrame:
-    cd = F.col(col).cast("double")
-    return df.select(
-        F.when(F.isnan(cd) | cd.isin(float("inf"), float("-inf")), None)
-        .otherwise(cd)
-        .alias(col)
-    )
+    return df.selectExpr(f"{numeric_sql(col, dict(df.dtypes)[col])} AS {quote(col)}")
+
+
+def _nmissing(df: DataFrame, col: str) -> int:
+    """Missing cells of ``col``: its own action, as PP computes it."""
+    return df.selectExpr(missing_count_sql(col, dict(df.dtypes)[col])).collect()[0][0]
 
 
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
@@ -50,7 +50,7 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
     proj = _numeric_clean(df, col)
     stats: dict[str, object] = {}
     stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
-    stats["nmissing"] = df.select(missing_expr(df, col).alias("m")).agg(F.sum("m")).collect()[0][0]  # action 2
+    stats["nmissing"] = _nmissing(df, col)                                         # action 2
     stats["distinct"] = proj.select(col).distinct().count()                        # action 3
     row = proj.agg(F.min(col), F.max(col)).collect()[0]                            # action 4
     stats["min"], stats["max"] = row[0], row[1]
@@ -83,15 +83,9 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
     mn, mx = stats["min"], stats["max"]
     bins = cfg["hist.bins"]
     if mn is not None and mx is not None and mx > mn:
-        width = (mx - mn) / bins
         counts_pdf = (
-            proj.where(F.col(col).isNotNull())
-            .select(
-                F.least(
-                    F.floor((F.col(col) - F.lit(mn)) / F.lit(width)).cast("int"),
-                    F.lit(bins - 1),
-                ).alias("bin")
-            )
+            proj.selectExpr(f"{bin_sql(quote(col), mn, mx, bins)} AS bin")
+            .where("bin IS NOT NULL")
             .groupBy("bin")
             .count()
             .toPandas()                                                            # action 12
@@ -108,7 +102,7 @@ def _profile_categorical_column(df: DataFrame, col: str, cfg: Config) -> dict[st
     proj = df.select(F.col(col).cast("string").alias(col))
     stats: dict[str, object] = {}
     stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
-    stats["nmissing"] = df.select(missing_expr(df, col).alias("m")).agg(F.sum("m")).collect()[0][0]  # action 2
+    stats["nmissing"] = _nmissing(df, col)                                         # action 2
     stats["distinct"] = proj.where(F.col(col).isNotNull()).distinct().count()      # action 3
     row = proj.agg(
         F.min(F.length(col)), F.max(F.length(col)), F.mean(F.length(col))

@@ -22,6 +22,7 @@ from repro.core import compute
 from repro.core.config import Config
 from repro.core.dtypes import EDAType, detect_type
 from repro.core.intermediates import Intermediates
+from repro.substrate.sparkutils import bin_sql, quote
 
 
 def _minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float, float]]:
@@ -35,13 +36,7 @@ def _minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float, float]]:
 
 
 def _bin_expr(col: str, mn: float, mx: float, bins: int):
-    if mx == mn:
-        return F.lit(0)
-    width = (mx - mn) / bins
-    return F.least(
-        F.floor((F.col(col).cast("double") - F.lit(mn)) / F.lit(width)).cast("int"),
-        F.lit(bins - 1),
-    )
+    return F.expr(bin_sql(f"CAST({quote(col)} AS DOUBLE)", mn, mx, bins))
 
 
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:

@@ -4,15 +4,22 @@ The paper's key optimization is expressing *all* computations of a task in
 one lazy Dask graph so shared work is computed once. The Spark analogue
 implemented here:
 
-* ``basic_stats_pass``   — every per-column aggregate for every column in a
-  **single** ``df.agg(...)`` (one scan, one job).
+* ``basic_stats_pass``   — every per-column aggregate for every column,
+  quantile sketches included, in **one** aggregation (one scan, one job
+  per ``_AGG_EXPR_CAP`` aggregates).
 * ``histogram_pass``     — histograms of all numeric columns via one
-  ``unpivot → groupBy(column, bin)`` (one shuffle for all columns). Bin
+  ``stack → groupBy(column, bin)`` (one shuffle for all columns). Bin
   edges need min/max *before* the job can be built — the Spark analogue of
   the paper's "precompute chunk sizes before constructing the graph".
-* ``value_counts_pass``  — value counts of all categorical columns via one
-  ``unpivot → groupBy(column, value)``.
-* ``quantiles_pass``     — one ``approxQuantile`` call covering all columns.
+* ``value_counts_pass``  — value counts, distinct counts and totals of all
+  categorical columns via one ``stack → groupBy(column, value)`` plus
+  per-column windows, in one action.
+* ``sample_pass``        — one seeded row sample for driver-side kernels.
+
+Plans are built from the SQL-text vocabulary of
+``repro.substrate.sparkutils`` (``numeric_sql``, ``missing_count_sql``,
+``bin_sql``, ``quote``): one ``selectExpr`` per pass instead of thousands
+of Py4J-backed ``Column`` calls.
 
 Each pass reduces the distributed frame to a tiny pandas object; everything
 downstream (KDE, Q-Q, box stats, insights) is driver-side pandas/numpy —
@@ -25,12 +32,18 @@ from typing import Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.dtypes import EDAType
-
-_SEP = "\x1f"  # alias separator: cannot occur in user column names
+from repro.substrate.sparkutils import (
+    bin_sql,
+    double_sql,
+    finite_sql,
+    infinite_sql,
+    missing_count_sql,
+    numeric_sql,
+    quote,
+)
 
 #: quantile probabilities shared by the stats table, box plot, and Q-Q plot
 #: (paper §4.2: "the quantiles are computed once and distributed to each
@@ -38,70 +51,45 @@ _SEP = "\x1f"  # alias separator: cannot occur in user column names
 STATS_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 
-def _clean(df: DataFrame, col: str, eda_type: EDAType) -> Column:
-    """NaN/±inf → null for float columns so moment aggregates stay finite.
-
-    Mirrors pandas semantics (NaN is missing) that Pandas-profiling and
-    Missingno assume; infinity is counted separately by the stats pass.
-    """
-    c = F.col(col)
-    if eda_type is EDAType.NUMERICAL:
-        dtype = dict(df.dtypes)[col]
-        if dtype in ("double", "float"):
-            return F.when(F.isnan(c) | c.isin(float("inf"), float("-inf")), None).otherwise(c)
-        return c
-    return c
-
-
-def missing_expr(df: DataFrame, col: str) -> Column:
-    """1 when the cell is missing (null, or NaN for float columns)."""
-    c = F.col(col)
-    dtype = dict(df.dtypes)[col]
-    if dtype in ("double", "float"):
-        return (c.isNull() | F.isnan(c)).cast("long")
-    return c.isNull().cast("long")
-
-
 def _stat_exprs(
-    df: DataFrame,
     col: str,
+    dtype: str,
     eda_type: EDAType,
     quantile_probs: tuple[float, ...] | None = None,
-) -> list[Column]:
-    """All aggregate expressions for one column, aliased ``col<SEP>stat``."""
-    c = _clean(df, col, eda_type)
-
-    def a(stat: str, expr: Column) -> Column:
-        return expr.alias(f"{col}{_SEP}{stat}")
-
+) -> list[tuple[str, str]]:
+    """``(stat, SQL aggregate)`` pairs for one column."""
+    q = quote(col)
+    # Numeric statistics see NaN/±inf as NULL (pandas semantics: NaN is
+    # missing; infinity is counted separately below). HLL hashes the value
+    # in its own type, so ``distinct`` counts the cleaned value uncast.
+    numeric = eda_type is EDAType.NUMERICAL
+    v = numeric_sql(col, dtype) if numeric else q
     exprs = [
-        a("count", F.count(c)),
-        a("nmissing", F.sum(missing_expr(df, col))),
+        ("count", f"count({v})"),
+        ("nmissing", missing_count_sql(col, dtype)),
         # rsd=0.05 (engine default): tighter precisions blow up the HLL++
         # register buffers (~2^18 longs per column) and turn this one-scan
         # agg into minutes on small data. Exact distinct counts for
         # categoricals come from value_counts_pass anyway.
-        a("distinct", F.approx_count_distinct(c)),
+        ("distinct", f"approx_count_distinct({finite_sql(col, dtype) if numeric else q})"),
     ]
-    if eda_type is EDAType.NUMERICAL:
-        raw = F.col(col).cast("double")
+    if numeric:
         # Moments come from raw power sums (s1..s4) finished on the driver,
-        # not from F.stddev/F.skewness/F.kurtosis: those declarative
-        # aggregates expand to huge Welford expression trees, and a few
-        # hundred of them in one fused agg exhausts the JVM code cache.
-        # Four plain sums per column keep the codegen unit tiny — and the
-        # driver-side finishing is exactly the paper's pandas-phase.
-        cd = c.cast("double")
+        # not from stddev/skewness/kurtosis: those declarative aggregates
+        # expand to huge Welford expression trees, and a few hundred of
+        # them in one fused agg exhausts the JVM code cache. Four plain
+        # sums per column keep the codegen unit tiny — and the driver-side
+        # finishing is exactly the paper's pandas-phase.
         exprs += [
-            a("min", F.min(c).cast("double")),
-            a("max", F.max(c).cast("double")),
-            a("sum", F.sum(cd)),
-            a("sum2", F.sum(cd * cd)),
-            a("sum3", F.sum(cd * cd * cd)),
-            a("sum4", F.sum(cd * cd * cd * cd)),
-            a("nzero", F.sum((c == 0).cast("long"))),
-            a("nnegative", F.sum((c < 0).cast("long"))),
-            a("ninfinite", F.sum(raw.isin(float("inf"), float("-inf")).cast("long"))),
+            ("min", f"min({v})"),
+            ("max", f"max({v})"),
+            ("sum", f"sum({v})"),
+            ("sum2", f"sum({v} * {v})"),
+            ("sum3", f"sum({v} * {v} * {v})"),
+            ("sum4", f"sum({v} * {v} * {v} * {v})"),
+            ("nzero", f"sum(CAST({v} = 0 AS BIGINT))"),
+            ("nnegative", f"sum(CAST({v} < 0 AS BIGINT))"),
+            ("ninfinite", f"sum(CAST({infinite_sql(col)} AS BIGINT))"),
         ]
         if quantile_probs:
             # percentile_approx is an imperative (buffer-based) aggregate:
@@ -109,18 +97,19 @@ def _stat_exprs(
             # codegen-size issues the declarative moments had, and removes
             # a whole approxQuantile pass (quantiles shared by the stats
             # table, box plot and Q-Q plot — the paper's sharing example).
-            exprs.append(a("qsketch", F.percentile_approx(cd, list(quantile_probs), 10_000)))
+            probs = ", ".join(double_sql(p) for p in quantile_probs)
+            exprs.append(("qsketch", f"percentile_approx({v}, array({probs}), 10000)"))
     elif eda_type is EDAType.CATEGORICAL:
-        ln = F.length(F.col(col).cast("string"))
+        ln = f"length(CAST({q} AS STRING))"
         exprs += [
-            a("len_min", F.min(ln).cast("double")),
-            a("len_max", F.max(ln).cast("double")),
-            a("len_mean", F.mean(ln).cast("double")),
+            ("len_min", f"CAST(min({ln}) AS DOUBLE)"),
+            ("len_max", f"CAST(max({ln}) AS DOUBLE)"),
+            ("len_mean", f"CAST(avg({ln}) AS DOUBLE)"),
         ]
     elif eda_type is EDAType.DATETIME:
         exprs += [
-            a("min_ts", F.date_format(F.min(c), "yyyy-MM-dd HH:mm:ss")),
-            a("max_ts", F.date_format(F.max(c), "yyyy-MM-dd HH:mm:ss")),
+            ("min_ts", f"date_format(min({q}), 'yyyy-MM-dd HH:mm:ss')"),
+            ("max_ts", f"date_format(max({q}), 'yyyy-MM-dd HH:mm:ss')"),
         ]
     return exprs
 
@@ -153,36 +142,33 @@ def _finish_moments(stats: dict[str, object]) -> None:
 _AGG_EXPR_CAP = 256
 
 
-def _chunked_agg(df: DataFrame, exprs: list[Column]) -> dict[str, object]:
-    """``df.agg(*exprs)`` split into bounded-size codegen units."""
-    row: dict[str, object] = {}
-    for i in range(0, len(exprs), _AGG_EXPR_CAP):
-        row.update(df.agg(*exprs[i : i + _AGG_EXPR_CAP]).collect()[0].asDict())
-    return row
-
-
 def basic_stats_pass(
     df: DataFrame,
     types: Mapping[str, EDAType],
     cols: list[str] | None = None,
     quantile_probs: tuple[float, ...] | None = None,
 ) -> dict[str, dict[str, object]]:
-    """One fused ``agg`` computing every basic statistic of every column.
+    """One fused aggregation computing every basic statistic of every column.
 
     Returns ``{column: {stat: value}}`` plus the dataset row count under the
-    pseudo-column ``__table__``. One Spark job (a couple for very wide
-    tables, see ``_AGG_EXPR_CAP``) regardless of the number of columns —
+    pseudo-column ``__table__``. One ``selectExpr`` and one Spark job per
+    ``_AGG_EXPR_CAP`` aggregates, regardless of the number of columns —
     this is where the 4–20× of Table 2 comes from.
     """
     cols = list(cols) if cols is not None else list(types)
-    exprs: list[Column] = [F.count(F.lit(1)).alias(f"__table__{_SEP}nrows")]
+    dtypes = dict(df.dtypes)
+    keys: list[tuple[str, str]] = [("__table__", "nrows")]
+    exprs = ["count(1)"]
     for col in cols:
-        exprs += _stat_exprs(df, col, types[col], quantile_probs)
-    row = _chunked_agg(df, exprs)
+        for stat, expr in _stat_exprs(col, dtypes[col], types[col], quantile_probs):
+            keys.append((col, stat))
+            exprs.append(expr)
     out: dict[str, dict[str, object]] = {}
-    for key, value in row.items():
-        col, stat = key.split(_SEP, 1)
-        out.setdefault(col, {})[stat] = value
+    for i in range(0, len(exprs), _AGG_EXPR_CAP):
+        chunk = exprs[i : i + _AGG_EXPR_CAP]
+        row = df.selectExpr(*[f"{e} AS _{j}" for j, e in enumerate(chunk)]).collect()[0]
+        for (col, stat), value in zip(keys[i : i + _AGG_EXPR_CAP], row):
+            out.setdefault(col, {})[stat] = value
     for col in cols:
         if types[col] is EDAType.NUMERICAL:
             _finish_moments(out[col])
@@ -206,18 +192,42 @@ def quantiles_pass(
     """Approximate quantiles of all numeric columns in one pass.
 
     Uses the Greenwald–Khanna sketch behind ``approxQuantile``; one job for
-    all columns and all probabilities (shared by stats/box/Q-Q — the
-    paper's computation-sharing example).
+    all columns and all probabilities. Only a fallback: the stats pass
+    sketches the quantiles inside its own scan.
     """
     if not num_cols:
         return {}
-    cleaned = df.select(
-        [_clean(df, c, types[c]).cast("double").alias(c) for c in num_cols]
+    dtypes = dict(df.dtypes)
+    names = [f"_{i}" for i in range(len(num_cols))]
+    cleaned = df.selectExpr(
+        *[f"{numeric_sql(c, dtypes[c])} AS {n}" for c, n in zip(num_cols, names)]
     )
-    res = cleaned.approxQuantile(num_cols, list(probs), rel_err)
+    res = cleaned.approxQuantile(names, list(probs), rel_err)
     return {
         c: {p: q for p, q in zip(probs, qs)} for c, qs in zip(num_cols, res)
     }
+
+
+def stacked_bins_sql(
+    df: DataFrame,
+    cols: list[str],
+    minmax: Mapping[str, tuple[float, float]],
+    bins: int,
+) -> str:
+    """Generator expression emitting one ``(ci, bin)`` row per cell of ``cols``.
+
+    ``ci`` is the column's position in ``cols`` (integers, so no column name
+    is ever written as a string literal) and ``bin`` its ``bin_sql`` index
+    over that column's ``minmax`` range — NULL for missing and non-finite
+    cells. The bin edges are inlined as literals, so no metadata frame or
+    join is needed.
+    """
+    dtypes = dict(df.dtypes)
+    pairs = ", ".join(
+        f"{i}, {bin_sql(numeric_sql(c, dtypes[c]), minmax[c][0], minmax[c][1], bins)}"
+        for i, c in enumerate(cols)
+    )
+    return f"stack({len(cols)}, {pairs}) AS (ci, bin)"
 
 
 def histogram_pass(
@@ -227,7 +237,7 @@ def histogram_pass(
     minmax: Mapping[str, tuple[float | None, float | None]],
     bins: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Equi-width histograms of all numeric columns via one melted groupBy.
+    """Equi-width histograms of all numeric columns via one stacked groupBy.
 
     ``minmax`` must come from a previous pass (``basic_stats_pass``) — the
     bin edges are needed to *construct* this job, mirroring the paper's
@@ -247,84 +257,66 @@ def histogram_pass(
     if not usable:
         return out
 
-    spark = df.sparkSession
-    meta = spark.createDataFrame(
-        [(c, float(minmax[c][0]), float(minmax[c][1])) for c in usable],
-        "column STRING, mn DOUBLE, mx DOUBLE",
-    )
-    stacked = (
-        df.select([_clean(df, c, types[c]).cast("double").alias(c) for c in usable])
-        .unpivot([], usable, "column", "value")
-        .where(F.col("value").isNotNull())
-    )
-    width = (F.col("mx") - F.col("mn")) / F.lit(bins)
-    bin_expr = F.when(F.col("mx") == F.col("mn"), F.lit(0)).otherwise(
-        F.least(
-            F.floor((F.col("value") - F.col("mn")) / width).cast("int"),
-            F.lit(bins - 1),
-        )
-    )
     counts_pdf = (
-        stacked.join(F.broadcast(meta), "column")
-        .select("column", bin_expr.alias("bin"))
-        .groupBy("column", "bin")
+        df.selectExpr(stacked_bins_sql(df, usable, minmax, bins))
+        .where("bin IS NOT NULL")
+        .groupBy("ci", "bin")
         .count()
         .toPandas()
     )
-    for c in usable:
+    for i, c in enumerate(usable):
         mn, mx = float(minmax[c][0]), float(minmax[c][1])
         edges = np.linspace(mn, mx, bins + 1) if mx > mn else np.array([mn, mn])
         n_bins = bins if mx > mn else 1
         counts = np.zeros(n_bins, dtype="int64")
-        sub = counts_pdf[counts_pdf["column"] == c]
+        sub = counts_pdf[counts_pdf["ci"] == i]
         idx = sub["bin"].to_numpy(dtype="int64")
         counts[idx] = sub["count"].to_numpy(dtype="int64")
         out[c] = (counts, edges)
     return out
 
 
+def stacked_strings_sql(cols: list[str]) -> str:
+    """Generator expression emitting one ``(ci, value)`` row per cell of ``cols``.
+
+    ``value`` is the cell cast to string; ``ci`` the column's position.
+    """
+    pairs = ", ".join(f"{i}, CAST({quote(c)} AS STRING)" for i, c in enumerate(cols))
+    return f"stack({len(cols)}, {pairs}) AS (ci, value)"
+
+
 def value_counts_pass(
     df: DataFrame, cat_cols: list[str], limit: int = 1000
 ) -> dict[str, pd.Series]:
-    """Exact value counts of all categorical columns via one melted groupBy.
+    """Exact value counts of all categorical columns in one query.
 
     Each column's series is capped at ``limit`` values (descending count,
     ascending value tie-break) and carries exact ``n_distinct`` / ``n_total``
     (non-null) in ``series.attrs`` so overview stats stay exact even when
-    the head is truncated.
+    the head is truncated. The head and the per-column totals are window
+    functions over the same grouped counts, so one action returns both.
     """
     if not cat_cols:
         return {}
-    stacked = (
-        df.select([F.col(c).cast("string").alias(c) for c in cat_cols])
-        .unpivot([], cat_cols, "column", "value")
-        .where(F.col("value").isNotNull())
+    top_pdf = (
+        df.selectExpr(stacked_strings_sql(cat_cols))
+        .where("value IS NOT NULL")
+        .groupBy("ci", "value")
+        .count()
+        .selectExpr(
+            "ci",
+            "value",
+            "`count`",
+            "row_number() OVER (PARTITION BY ci ORDER BY `count` DESC, value ASC) AS rn",
+            "count(1) OVER (PARTITION BY ci) AS n_distinct",
+            "sum(`count`) OVER (PARTITION BY ci) AS n_total",
+        )
+        .where(f"rn <= {int(limit)}")
+        .toPandas()
     )
-    counts = stacked.groupBy("column", "value").count()
-    counts.persist()
-    try:
-        from pyspark.sql import Window
-
-        w = Window.partitionBy("column").orderBy(F.desc("count"), F.asc("value"))
-        top_pdf = (
-            counts.withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") <= limit)
-            .toPandas()
-        )
-        totals_pdf = (
-            counts.groupBy("column")
-            .agg(
-                F.count(F.lit(1)).alias("n_distinct"),
-                F.sum("count").alias("n_total"),
-            )
-            .toPandas()
-        )
-    finally:
-        counts.unpersist()
-    totals = totals_pdf.set_index("column")
     out: dict[str, pd.Series] = {}
-    for c in cat_cols:
-        sub = top_pdf[top_pdf["column"] == c].sort_values(
+    for i, c in enumerate(cat_cols):
+        sub = top_pdf[top_pdf["ci"] == i].sort_values(
             ["count", "value"], ascending=[False, True]
         )
         s = pd.Series(
@@ -332,9 +324,9 @@ def value_counts_pass(
             index=sub["value"].to_numpy(dtype=object),
             name=c,
         )
-        if c in totals.index:
-            s.attrs["n_distinct"] = int(totals.loc[c, "n_distinct"])
-            s.attrs["n_total"] = int(totals.loc[c, "n_total"])
+        if len(sub):
+            s.attrs["n_distinct"] = int(sub["n_distinct"].iloc[0])
+            s.attrs["n_total"] = int(sub["n_total"].iloc[0])
         else:  # all-null column
             s.attrs["n_distinct"] = 0
             s.attrs["n_total"] = 0
@@ -354,7 +346,7 @@ def sample_pass(
     """
     if total_rows is None:
         total_rows = df.count()
-    proj = df.select(cols)
+    proj = df.select([quote(c) for c in cols])
     if total_rows <= n:
         return proj.toPandas()
     frac = min(1.0, (n / total_rows) * 1.1)

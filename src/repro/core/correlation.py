@@ -6,12 +6,15 @@ benchmark and are likewise absent here).
 
 Fusion strategy:
 
-* Pearson — all m(m−1)/2 pairwise ``F.corr`` aggregates in **one**
-  ``df.agg`` (single scan; pairwise-complete like ``pandas.DataFrame.corr``).
-* Spearman — one rank-transform projection (average ranks with tie
-  correction, per column) followed by the same fused Pearson agg on ranks.
-  Columns are ranked once over their own non-nulls; under missing data this
-  approximates pandas' per-pair re-ranking (documented in DESIGN.md).
+* Pearson — one ``mapInPandas`` scan: each partition emits its masked
+  co-moment matrices (numpy), the driver sums them and finishes all
+  m(m−1)/2 pairs (pairwise-complete like ``pandas.DataFrame.corr``).
+* Spearman — below ``_SPEARMAN_DRIVER_CELLS`` the cleaned columns are
+  collected and ranked in pandas; above it, one rank-transform projection
+  (average ranks with tie correction, per column) feeds the same Pearson
+  scan. Columns are ranked once over their own non-nulls; under missing
+  data this approximates pandas' per-pair re-ranking (documented in
+  DESIGN.md).
 * Kendall — exact tau-b on a seeded, size-capped sample via the
   ``substrate.numutils`` kernel (scipy-free). Precomputed condensed sign
   arrays make the m×m matrix O(m·k² + m²·pairs) instead of O(m²·k²).
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core import compute
 from repro.core.config import Config
@@ -30,19 +32,13 @@ from repro.core.insights import correlation_insights
 from repro.core.intermediates import EDAResult, Intermediates
 from repro.core.render import render
 from repro.substrate import numutils
+from repro.substrate.sparkutils import numeric_sql, quote
 
 
 def _clean_numeric(df: DataFrame, cols: list[str]) -> DataFrame:
     """Project to double columns with NaN/±inf nulled (pairwise semantics)."""
-    out = []
-    for c in cols:
-        cd = F.col(c).cast("double")
-        out.append(
-            F.when(F.isnan(cd) | cd.isin(float("inf"), float("-inf")), None)
-            .otherwise(cd)
-            .alias(c)
-        )
-    return df.select(out)
+    dtypes = dict(df.dtypes)
+    return df.selectExpr(*[f"{numeric_sql(c, dtypes[c])} AS {quote(c)}" for c in cols])
 
 
 def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
@@ -50,23 +46,21 @@ def ranked(df: DataFrame, cols: list[str]) -> DataFrame:
 
     ``rank()`` gives the min rank; adding ``(ties−1)/2`` (ties counted per
     value) yields the average rank, matching ``pandas.rank(method='average')``
-    on the non-null values. Nulls stay null so downstream ``F.corr`` remains
-    pairwise-complete.
+    on the non-null values. Nulls stay null so downstream correlations
+    remain pairwise-complete.
     """
-    clean = _clean_numeric(df, cols)
     exprs = []
     for c in cols:
-        w_order = Window.orderBy(F.col(c).asc_nulls_last())
-        w_ties = Window.partitionBy(F.col(c))
+        q = quote(c)
         avg_rank = (
-            F.rank().over(w_order).cast("double")
-            + (F.count(F.col(c)).over(w_ties).cast("double") - 1) / 2
+            f"CAST(rank() OVER (ORDER BY {q} ASC NULLS LAST) AS DOUBLE)"
+            f" + (CAST(count({q}) OVER (PARTITION BY {q}) AS DOUBLE) - 1) / 2"
         )
-        exprs.append(F.when(F.col(c).isNull(), None).otherwise(avg_rank).alias(c))
-    return clean.select(exprs)
+        exprs.append(f"CASE WHEN {q} IS NULL THEN NULL ELSE {avg_rank} END AS {q}")
+    return _clean_numeric(df, cols).selectExpr(*exprs)
 
 
-def _comoment_partial(cols: list[str]):
+def _comoment_partial(m: int):
     """mapInPandas kernel: per-partition masked co-moment matrices.
 
     For columns i, j (over rows where *both* are present — pandas'
@@ -78,15 +72,13 @@ def _comoment_partial(cols: list[str]):
     """
     import pickle
 
-    m = len(cols)
-
     def kernel(batches):
         N = np.zeros((m, m))
         S = np.zeros((m, m))
         Q = np.zeros((m, m))
         P = np.zeros((m, m))
         for pdf in batches:
-            X = pdf[cols].to_numpy(dtype="float64", na_value=np.nan)
+            X = pdf.to_numpy(dtype="float64", na_value=np.nan)
             mask = np.isfinite(X)
             Xz = np.where(mask, X, 0.0)
             Mf = mask.astype("float64")
@@ -113,8 +105,10 @@ def pearson_matrix(df: DataFrame, cols: list[str]) -> pd.DataFrame:
         return mat
     import pickle
 
-    clean = _clean_numeric(df, cols)
-    rows = clean.mapInPandas(_comoment_partial(cols), "payload BINARY").collect()
+    # mapInPandas resolves its input columns by unquoted name, so the
+    # kernel sees positional names; it reads the columns in order.
+    clean = _clean_numeric(df, cols).toDF(*[f"_{i}" for i in range(len(cols))])
+    rows = clean.mapInPandas(_comoment_partial(len(cols)), "payload BINARY").collect()
     if not rows:
         mat.iloc[:, :] = np.nan
         np.fill_diagonal(mat.values, 1.0)
@@ -254,10 +248,10 @@ def compute_correlation_vector(df: DataFrame, col: str, cfg: Config) -> Intermed
     def _vector(frame: DataFrame) -> pd.Series:
         if not others:
             return pd.Series(dtype="float64")
-        row = frame.agg(
-            *[F.corr(col, o).alias(o) for o in others]
-        ).collect()[0].asDict()
-        return pd.Series({o: (np.nan if v is None else float(v)) for o, v in row.items()})
+        row = frame.selectExpr(
+            *[f"corr({quote(col)}, {quote(o)})" for o in others]
+        ).collect()[0]
+        return pd.Series({o: (np.nan if v is None else float(v)) for o, v in zip(others, row)})
 
     if "pearson" in methods:
         inter["pearson"] = _vector(_clean_numeric(df, [col] + others))
@@ -279,16 +273,15 @@ def compute_correlation_pair(df: DataFrame, c1: str, c2: str, cfg: Config) -> In
     for c in (c1, c2):
         if detect_type(df, c) is not EDAType.NUMERICAL:
             raise TypeError(f"plot_correlation requires numerical columns, got {c!r}")
-    clean = _clean_numeric(df, [c1, c2]).where(
-        F.col(c1).isNotNull() & F.col(c2).isNotNull()
-    )
-    row = clean.agg(
-        F.covar_samp(c1, c2).alias("cov"),
-        F.var_samp(c1).alias("var_x"),
-        F.mean(c1).alias("mean_x"),
-        F.mean(c2).alias("mean_y"),
-        F.corr(c1, c2).alias("pearson"),
-        F.count(F.lit(1)).alias("n"),
+    x, y = quote(c1), quote(c2)
+    clean = _clean_numeric(df, [c1, c2]).where(f"{x} IS NOT NULL AND {y} IS NOT NULL")
+    row = clean.selectExpr(
+        f"covar_samp({x}, {y}) AS cov",
+        f"var_samp({x}) AS var_x",
+        f"avg({x}) AS mean_x",
+        f"avg({y}) AS mean_y",
+        f"corr({x}, {y}) AS pearson",
+        "count(1) AS n",
     ).collect()[0]
     slope = (row["cov"] / row["var_x"]) if row["var_x"] else float("nan")
     intercept = (

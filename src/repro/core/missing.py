@@ -20,7 +20,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import compute
-from repro.core.compute import missing_expr
 from repro.core.config import Config
 from repro.core.correlation import pearson_matrix
 from repro.core.dtypes import EDAType, detect_types
@@ -29,17 +28,24 @@ from repro.core.intermediates import EDAResult, Intermediates
 from repro.core.render import render
 from repro.substrate import numutils
 from repro.substrate.cluster import cluster_order, linkage_average
-from repro.substrate.sparkutils import null_indicators, with_row_index
+from repro.substrate.sparkutils import (
+    missing_count_sql,
+    missing_sql,
+    null_indicators,
+    numeric_sql,
+    quote,
+    with_row_index,
+)
 
 
 def missing_counts_pass(df: DataFrame) -> tuple[int, pd.Series]:
     """(row count, missing count per column) in one fused aggregation."""
-    exprs = [F.count(F.lit(1)).alias("\x1fnrows")] + [
-        F.sum(missing_expr(df, c)).alias(c) for c in df.columns
-    ]
-    row = df.agg(*exprs).collect()[0].asDict()
-    nrows = int(row.pop("\x1fnrows"))
-    return nrows, pd.Series({c: int(v or 0) for c, v in row.items()})
+    dtypes = dict(df.dtypes)
+    row = df.selectExpr(
+        "count(1)",
+        *[missing_count_sql(c, dtypes[c]) for c in df.columns],
+    ).collect()[0]
+    return int(row[0]), pd.Series({c: int(v or 0) for c, v in zip(df.columns, row[1:])})
 
 
 def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
@@ -50,7 +56,7 @@ def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.Data
     segments, melted, and aggregated in one shuffle for all columns.
     ``nrows`` (when already known from a stats pass) avoids a count job.
     """
-    indexed = with_row_index(null_indicators(df).select(df.columns), "__row")
+    indexed = with_row_index(null_indicators(df), "__row")
     if nrows is None:
         nrows = indexed.count()
     nrows = max(nrows, 1)
@@ -59,7 +65,7 @@ def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.Data
     )
     out = (
         indexed.withColumn("__bucket", bucket)
-        .unpivot(["__bucket"], df.columns, "column", "is_missing")
+        .unpivot(["__bucket"], [quote(c) for c in df.columns], "column", "is_missing")
         .groupBy("__bucket", "column")
         .agg(F.avg("is_missing").alias("missing_rate"), F.count(F.lit(1)).alias("n"))
         .orderBy("__bucket", "column")
@@ -110,16 +116,16 @@ def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
 def _before_after_numeric(
     df: DataFrame,
     num_cols: list[str],
-    types,
     minmax,
-    dropped: F.Column,
+    dropped: str,
     bins: int,
 ) -> dict[str, pd.DataFrame]:
     """Histograms of each numeric column before/after dropping, fused.
 
-    One melted shuffle produces, per (column, bin), the count over all rows
+    One stacked shuffle produces, per (column, bin), the count over all rows
     (*before*) and over surviving rows (*after*) — the paper's "two
-    frequency distributions per column" at the cost of one.
+    frequency distributions per column" at the cost of one. ``dropped`` is
+    a boolean SQL predicate; NaN and ±inf cells fall in no bin.
     """
     usable = [
         c for c in num_cols
@@ -128,40 +134,17 @@ def _before_after_numeric(
     out: dict[str, pd.DataFrame] = {}
     if not usable:
         return out
-    spark = df.sparkSession
-    meta = spark.createDataFrame(
-        [(c, float(minmax[c][0]), float(minmax[c][1])) for c in usable],
-        "column STRING, mn DOUBLE, mx DOUBLE",
-    )
-    stacked = (
-        df.withColumn("__dropped", dropped.cast("int"))
-        .select(
-            "__dropped",
-            *[
-                F.when(
-                    F.isnan(F.col(c).cast("double")), None
-                ).otherwise(F.col(c).cast("double")).alias(c)
-                for c in usable
-            ],
-        )
-        .unpivot(["__dropped"], usable, "column", "value")
-        .where(F.col("value").isNotNull())
-        .join(F.broadcast(meta), "column")
-    )
-    width = (F.col("mx") - F.col("mn")) / F.lit(bins)
-    bin_expr = F.when(F.col("mx") == F.col("mn"), F.lit(0)).otherwise(
-        F.least(F.floor((F.col("value") - F.col("mn")) / width).cast("int"), F.lit(bins - 1))
-    )
     agg = (
-        stacked.select("column", bin_expr.alias("bin"), "__dropped")
-        .groupBy("column", "bin")
-        .agg(
-            F.count(F.lit(1)).alias("before"),
-            F.sum(1 - F.col("__dropped")).alias("after"),
+        df.selectExpr(
+            f"CAST({dropped} AS INT) AS dropped",
+            compute.stacked_bins_sql(df, usable, minmax, bins),
         )
+        .where("bin IS NOT NULL")
+        .groupBy("ci", "bin")
+        .agg(F.expr("count(1) AS before"), F.expr("sum(1 - dropped) AS after"))
         .toPandas()
     )
-    for c in usable:
+    for i, c in enumerate(usable):
         mn, mx = float(minmax[c][0]), float(minmax[c][1])
         n_bins = bins if mx > mn else 1
         frame = pd.DataFrame(
@@ -171,7 +154,7 @@ def _before_after_numeric(
                 "after": np.zeros(n_bins, dtype="int64"),
             }
         )
-        sub = agg[agg["column"] == c]
+        sub = agg[agg["ci"] == i]
         idx = sub["bin"].to_numpy(dtype="int64")
         frame.loc[idx, "before"] = sub["before"].to_numpy(dtype="int64")
         frame.loc[idx, "after"] = sub["after"].to_numpy(dtype="int64")
@@ -183,32 +166,28 @@ def _before_after_numeric(
 
 
 def _before_after_categorical(
-    df: DataFrame, cat_cols: list[str], dropped: F.Column, limit: int
+    df: DataFrame, cat_cols: list[str], dropped: str, limit: int
 ) -> dict[str, pd.DataFrame]:
     """Value counts of each categorical column before/after dropping, fused."""
     out: dict[str, pd.DataFrame] = {}
     if not cat_cols:
         return out
-    stacked = (
-        df.withColumn("__dropped", dropped.cast("int"))
-        .select("__dropped", *[F.col(c).cast("string").alias(c) for c in cat_cols])
-        .unpivot(["__dropped"], cat_cols, "column", "value")
-        .where(F.col("value").isNotNull())
-    )
-    agg = (
-        stacked.groupBy("column", "value")
-        .agg(
-            F.count(F.lit(1)).alias("before"),
-            F.sum(1 - F.col("__dropped")).alias("after"),
+    pdf = (
+        df.selectExpr(
+            f"CAST({dropped} AS INT) AS dropped", compute.stacked_strings_sql(cat_cols)
         )
+        .where("value IS NOT NULL")
+        .groupBy("ci", "value")
+        .agg(F.expr("count(1) AS before"), F.expr("sum(1 - dropped) AS after"))
+        .selectExpr(
+            "*", "row_number() OVER (PARTITION BY ci ORDER BY before DESC, value ASC) AS rn"
+        )
+        .where(f"rn <= {int(limit)}")
+        .toPandas()
     )
-    from pyspark.sql import Window
-
-    w = Window.partitionBy("column").orderBy(F.desc("before"), F.asc("value"))
-    pdf = agg.withColumn("rn", F.row_number().over(w)).where(F.col("rn") <= limit).toPandas()
-    for c in cat_cols:
+    for i, c in enumerate(cat_cols):
         sub = (
-            pdf[pdf["column"] == c]
+            pdf[pdf["ci"] == i]
             .sort_values(["before", "value"], ascending=[False, True])
             .reset_index(drop=True)[["value", "before", "after"]]
         )
@@ -229,15 +208,13 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
     nrows = int(stats["__table__"]["nrows"])
     n_missing = int(stats[col1]["nmissing"])
     minmax = {c: (stats[c].get("min"), stats[c].get("max")) for c in num_cols}
-    dropped = missing_expr(df, col1).cast("boolean")
+    dropped = missing_sql(col1, dict(df.dtypes)[col1])
 
     inter = Intermediates(task=f"missing:{col1}")
     inter["col"] = col1
     inter["nrows"] = nrows
     inter["n_dropped"] = n_missing
-    inter["numeric"] = _before_after_numeric(
-        df, num_cols, types, minmax, dropped, cfg["hist.bins"]
-    )
+    inter["numeric"] = _before_after_numeric(df, num_cols, minmax, dropped, cfg["hist.bins"])
     inter["categorical"] = _before_after_categorical(
         df, cat_cols, dropped, cfg["bar.top_n"] * 10
     )
@@ -262,17 +239,16 @@ def compute_missing_col(df: DataFrame, col1: str, cfg: Config) -> Intermediates:
 def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> Intermediates:
     """``plot_missing(df, c1, c2)`` — impact of dropping on one column."""
     types = detect_types(df)
-    dropped = missing_expr(df, col1).cast("boolean")
+    dtypes = dict(df.dtypes)
+    dropped = missing_sql(col1, dtypes[col1])
     inter = Intermediates(task=f"missing:{col1}:{col2}")
     inter["cols"] = (col1, col2)
     t2 = types[col2]
     if t2 is EDAType.NUMERICAL:
-        mm_row = df.agg(
-            F.min(F.col(col2).cast("double")).alias("mn"),
-            F.max(F.col(col2).cast("double")).alias("mx"),
-        ).collect()[0]
+        y = numeric_sql(col2, dtypes[col2])
+        mm_row = df.selectExpr(f"min({y}) AS mn", f"max({y}) AS mx").collect()[0]
         minmax = {col2: (mm_row["mn"], mm_row["mx"])}
-        hists = _before_after_numeric(df, [col2], types, minmax, dropped, cfg["hist.bins"])
+        hists = _before_after_numeric(df, [col2], minmax, dropped, cfg["hist.bins"])
         frame = hists.get(col2, pd.DataFrame(columns=["bin", "before", "after"]))
         inter["hist"] = frame
         b = frame["before"].to_numpy("float64") if len(frame) else np.zeros(0)
@@ -285,16 +261,10 @@ def compute_missing_pair(df: DataFrame, col1: str, col2: str, cfg: Config) -> In
             "before": np.cumsum(inter["pdf"]["before"]),
             "after": np.cumsum(inter["pdf"]["after"]),
         }
-        clean2 = F.when(F.isnan(F.col(col2).cast("double")), None).otherwise(
-            F.col(col2).cast("double")
-        )
-        box_row = df.select(
-            clean2.alias("y"), dropped.alias("d")
-        ).agg(
-            F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q_before"),
-            F.percentile_approx(F.when(~F.col("d"), F.col("y")), [0.25, 0.5, 0.75]).alias(
-                "q_after"
-            ),
+        quartiles = "array(0.25D, 0.5D, 0.75D), 10000"
+        box_row = df.selectExpr(f"{y} AS y", f"{dropped} AS d").selectExpr(
+            f"percentile_approx(y, {quartiles}) AS q_before",
+            f"percentile_approx(CASE WHEN NOT d THEN y END, {quartiles}) AS q_after",
         ).collect()[0]
         inter["box"] = {
             "before": dict(zip(("q1", "median", "q3"), box_row["q_before"] or (np.nan,) * 3)),

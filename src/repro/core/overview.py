@@ -1,20 +1,22 @@
 """Overview analysis — ``plot(df)`` (paper Figure 2, row 1).
 
 Dataset statistics plus a histogram per numerical column and a bar chart
-per categorical column — computed with exactly four fused Spark jobs
-regardless of column count:
+per categorical column, computed by four fused passes regardless of
+column count:
 
 1. ``basic_stats_pass``  — every per-column aggregate, one scan;
-2. ``histogram_pass``    — all numeric histograms, one melted shuffle
+2. ``histogram_pass``    — all numeric histograms, one stacked shuffle
    (bin edges taken from pass 1, the "precompute metadata" stage);
-3. ``value_counts_pass`` — all categorical bar charts (two actions over
-   one persisted aggregate);
-4. duplicate-row count   — one distinct-count job (dataset statistic).
+3. ``value_counts_pass`` — all categorical bar charts with their exact
+   distinct counts and totals, one action;
+4. ``duplicate_rows_pass`` — one distinct count (dataset statistic).
+
+Each pass may run more than one Spark job (shuffle stages and adaptive
+query execution add jobs), but the count does not grow with the columns.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import compute
 from repro.core.config import Config

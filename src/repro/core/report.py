@@ -3,26 +3,30 @@ the paper's §6 (Table 2, Figure 6).
 
 The report covers the same five sections as Pandas-profiling (Overview,
 Variables, Interactions, Correlations, Missing Values) but computes them
-through the fused pipeline: a fixed, small number of Spark jobs
+through the fused pipeline: a fixed, small number of Spark passes
 **independent of the column count**, with every shared intermediate
 computed exactly once:
 
-1.  one ``basic_stats_pass``       (all stats, all columns — 1 scan)
-2.  one duplicate-row count        (1 scan)
-3.  one ``quantiles_pass``         (stats+box+Q-Q quantiles, all numeric — 1 scan)
-4.  one ``histogram_pass``         (all numeric histograms — 1 melted shuffle;
-                                    bin edges from pass 1, the paper's
-                                    precompute-metadata stage)
-5.  one ``value_counts_pass``      (all categorical bars — 1 melted shuffle)
-6.  one ``sample_pass``            (one seeded numeric sample shared by KDE,
-                                    Kendall, and sample-based interactions)
-7.  one fused Pearson aggregation  (all pairs — 1 scan)
-8.  one rank projection + fused aggregation for Spearman
-9.  spectrum + nullity-correlation jobs for the missing section
+1.  ``basic_stats_pass``     all stats of all columns, plus the quantile
+                             sketch shared by the stats table, box and Q-Q
+                             plots (1 scan)
+2.  ``duplicate_rows_pass``  one distinct count
+3.  ``histogram_pass``       all numeric histograms (1 stacked shuffle; bin
+                             edges from pass 1, the paper's
+                             precompute-metadata stage)
+4.  ``value_counts_pass``    all categorical bars and exact distinct counts
+                             (1 stacked shuffle, 1 action)
+5.  ``sample_pass``          one seeded numeric sample shared by KDE,
+                             Kendall and the hexbin interactions
+6.  ``pearson_matrix``       all pairs from one co-moment scan
+7.  ``spearman_matrix``      ranks on the driver below a cell budget, else a
+                             rank projection plus the same co-moment scan
+8.  ``spectrum_pass`` and ``nullity_correlation`` for the missing section
 
 Everything else (Q-Q, box geometry, KDE, tau-b, linkage, insights,
 rendering) is driver-side pandas/numpy over the reduced intermediates —
-the paper's Dask-Computation / Pandas-Computation split (§5.2).
+the paper's Dask-Computation / Pandas-Computation split (§5.2). A report
+runs 24 Spark jobs on the titanic and adult shapes.
 """
 from __future__ import annotations
 
@@ -73,7 +77,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
 
     sample = (
         compute.sample_pass(
-            df.select(num_cols), num_cols,
+            df, num_cols,
             max(cfg["kde.sample_size"], cfg["kendall.sample_size"]),
             cfg["compute.seed"], total_rows=nrows,
         ).astype("float64")

@@ -20,6 +20,7 @@ from repro.core.config import Config
 from repro.core.dtypes import EDAType, detect_type
 from repro.core.intermediates import Intermediates
 from repro.substrate import numutils
+from repro.substrate.sparkutils import missing_sql, quote
 
 #: probabilities of the Q-Q plot are appended to the shared stats quantiles
 #: so one ``approxQuantile`` call serves the stats table, box plot and Q-Q
@@ -82,7 +83,7 @@ def compute_numerical(
     if sample is None:
         n_sample = cfg["kde.sample_size"]
         pdf = compute.sample_pass(
-            df.where(~compute.missing_expr(df, col).cast("boolean")),
+            df.where(f"NOT {missing_sql(col, dict(df.dtypes)[col])}"),
             [col],
             n_sample,
             cfg["compute.seed"],
@@ -139,14 +140,9 @@ def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
     one shuffle; totals are computed from the persisted aggregate so the
     raw column is scanned once.
     """
-    words = (
-        df.select(
-            F.explode(
-                F.split(F.lower(F.col(col).cast("string")), r"[^0-9a-zA-Z]+")
-            ).alias("word")
-        )
-        .where(F.col("word") != "")
-    )
+    words = df.selectExpr(
+        f"explode(split(lower(CAST({quote(col)} AS STRING)), '[^0-9a-zA-Z]+')) AS word"
+    ).where("word != ''")
     counts = words.groupBy("word").count()
     counts.persist()
     try:

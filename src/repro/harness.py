@@ -16,7 +16,7 @@ from repro import datasets
 from repro.baseline import eager_profile_report
 from repro.core import create_report
 
-#: Paper Table 2 timings (seconds) for diffing in EXPERIMENTS.md.
+#: Paper Table 2 timings (seconds), diffed against measured rows by ``format_table2``.
 PAPER_TABLE2 = {
     "heart": (17.7, 2.0, 8.6),
     "diabetes": (28.3, 1.6, 17.7),
@@ -117,6 +117,7 @@ def build_session(app: str) -> SparkSession:
         '--conf "spark.driver.extraJavaOptions=-XX:ReservedCodeCacheSize=512m" '
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false "
         "pyspark-shell",
     )
     return (

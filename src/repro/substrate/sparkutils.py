@@ -1,16 +1,101 @@
-"""Spark DataFrame helpers used across the EDA compute pipeline.
+"""Spark helpers shared by the fused EDA passes.
 
-These are the fusion primitives: ``melt`` turns "one aggregation per
-column" into "one aggregation over a (column, value) long frame" so a
-single shuffle serves every column — the Spark analogue of putting all
-per-column Dask computations into one graph (paper §5.2).
+The passes build their Catalyst plans from SQL text, not from PySpark
+``Column`` calls. Every ``Column`` function is a handful of Py4J round
+trips (PySpark wraps each one in call-site capture), so a report built
+column-call by column-call spent most of its driver time on plan
+construction. A ``selectExpr`` of strings costs one round trip per string
+instead. The vocabulary below is the one definition of "missing",
+"clean numeric" and "equi-width bin" that every pass and the eager
+baseline share.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, Window
+import math
+
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-__all__ = ["melt", "with_row_index", "null_indicators"]
+__all__ = [
+    "melt",
+    "quote",
+    "double_sql",
+    "finite_sql",
+    "numeric_sql",
+    "infinite_sql",
+    "missing_sql",
+    "missing_count_sql",
+    "bin_sql",
+    "with_row_index",
+    "null_indicators",
+]
+
+#: Spark dtypes (``df.dtypes`` spelling) that can hold NaN and ±inf.
+_FLOAT_DTYPES = ("double", "float")
+
+
+def quote(name: str) -> str:
+    """``name`` as a SQL identifier: backticks, with inner backticks doubled."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def double_sql(x: float) -> str:
+    """A double literal that parses back to exactly ``float(x)``.
+
+    Finite values are written as ``repr`` plus the ``D`` suffix; NaN and
+    ±inf have no literal spelling in Spark SQL, so they become casts.
+    """
+    x = float(x)
+    if math.isnan(x):
+        return "CAST('NaN' AS DOUBLE)"
+    if math.isinf(x):
+        return "CAST('Infinity' AS DOUBLE)" if x > 0 else "CAST('-Infinity' AS DOUBLE)"
+    return repr(x) + "D"
+
+
+def finite_sql(name: str, dtype: str) -> str:
+    """Column ``name`` in its own type, with NaN and ±inf turned into NULL."""
+    q = quote(name)
+    if dtype not in _FLOAT_DTYPES:
+        return q
+    return f"CASE WHEN isnan({q}) OR {infinite_sql(name)} THEN NULL ELSE {q} END"
+
+
+def numeric_sql(name: str, dtype: str) -> str:
+    """Column ``name`` cast to double with NaN and ±inf turned into NULL."""
+    return f"CAST({finite_sql(name, dtype)} AS DOUBLE)"
+
+
+def infinite_sql(name: str) -> str:
+    """Boolean: the cell, cast to double, is +inf or -inf (NULL for NULL)."""
+    return f"CAST({quote(name)} AS DOUBLE) IN ({double_sql(math.inf)}, {double_sql(-math.inf)})"
+
+
+def missing_sql(name: str, dtype: str) -> str:
+    """Boolean: the cell is NULL, or NaN for float columns."""
+    q = quote(name)
+    if dtype not in _FLOAT_DTYPES:
+        return f"({q} IS NULL)"
+    return f"({q} IS NULL OR isnan({q}))"
+
+
+def missing_count_sql(name: str, dtype: str) -> str:
+    """Aggregate: number of missing cells of ``name`` (``missing_sql``)."""
+    return f"sum(CAST({missing_sql(name, dtype)} AS BIGINT))"
+
+
+def bin_sql(value_sql: str, mn: float, mx: float, bins: int) -> str:
+    """0-based equi-width bin of ``value_sql`` over ``[mn, mx]`` in ``bins`` bins.
+
+    NULL stays NULL, ``mx`` lands in the last bin, and a constant range
+    (``mx == mn``) puts every value in bin 0. ``least`` skips NULLs in
+    Spark, hence the explicit guard.
+    """
+    if mx == mn:
+        return f"CASE WHEN {value_sql} IS NOT NULL THEN 0 END"
+    lo, hi = double_sql(mn), double_sql(mx)
+    idx = f"CAST(FLOOR(({value_sql} - {lo}) / (({hi} - {lo}) / {bins})) AS INT)"
+    return f"CASE WHEN {value_sql} IS NOT NULL THEN LEAST({idx}, {bins - 1}) END"
 
 
 def melt(df: DataFrame, cols: list[str], var_name: str = "column", value_name: str = "value") -> DataFrame:
@@ -65,24 +150,17 @@ def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
     )
 
 
-def _is_missing(c: Column) -> Column:
-    return c.isNull() | F.isnan(c.cast("double")).eqNullSafe(F.lit(True))
-
-
 def null_indicators(df: DataFrame, cols: list[str] | None = None, *, nan_is_missing: bool = True) -> DataFrame:
     """0/1 missingness indicator frame with the same column names.
 
     ``NaN`` in float columns counts as missing when ``nan_is_missing`` —
     matching pandas semantics that Pandas-profiling and Missingno assume.
-    Non-castable types (strings) only check ``isNull``.
+    Non-float types (strings) only check ``isNull``.
     """
     cols = cols or df.columns
-    out = []
-    for c in cols:
-        dt = dict(df.dtypes)[c]
-        if nan_is_missing and dt in ("double", "float"):
-            ind = _is_missing(F.col(c))
-        else:
-            ind = F.col(c).isNull()
-        out.append(ind.cast("int").alias(c))
-    return df.select(out)
+    dtypes = dict(df.dtypes)
+    preds = {
+        c: missing_sql(c, dtypes[c]) if nan_is_missing else f"({quote(c)} IS NULL)"
+        for c in cols
+    }
+    return df.selectExpr(*[f"CAST({p} AS INT) AS {quote(c)}" for c, p in preds.items()])

@@ -91,6 +91,32 @@ def test_basic_stats_distinct_approximation(stats, titanic_pdf):
         assert stats[col]["distinct"] == pytest.approx(exact, rel=0.1)
 
 
+
+def test_basic_stats_float32_column(spark):
+    """A FLOAT column: NaN/±inf are cleaned in its own type. HLL++ hashes
+    floats and doubles differently, so ``distinct`` must match the estimate
+    over the uncast float values."""
+    from pyspark.sql import functions as F
+
+    g = np.random.default_rng(3)
+    v = g.normal(size=1000).astype("float32")
+    v[[1, 2]] = np.nan
+    v[[3, 4, 5]] = [np.inf, -np.inf, np.inf]
+    df = spark.createDataFrame(pd.DataFrame({"f": v}), "f float")
+    s = compute.basic_stats_pass(df, {"f": EDAType.NUMERICAL})["f"]
+    finite = v[np.isfinite(v)]
+    assert s["count"] == len(finite)
+    assert s["nmissing"] == 2
+    assert s["ninfinite"] == 3
+    assert s["min"] == float(finite.min()) and s["max"] == float(finite.max())
+    c = F.col("f")
+    want = (
+        df.where(~F.isnan(c) & ~c.isin(float("inf"), float("-inf")))
+        .agg(F.approx_count_distinct(c))
+        .collect()[0][0]
+    )
+    assert s["distinct"] == want
+
 def test_basic_stats_zero_negative_counts(stats, titanic_pdf):
     for i in range(7):
         col = f"num_{i}"
@@ -207,13 +233,11 @@ def test_sample_pass_small_input_returns_all(spark):
 
 
 def test_missing_expr_counts_nan(spark):
-    from pyspark.sql import functions as F
-
-    from repro.core.compute import missing_expr
+    from repro.substrate.sparkutils import missing_sql
 
     pdf = pd.DataFrame({"a": [1.0, np.nan, None, 4.0]})
     df = spark.createDataFrame(pdf)
-    n = df.select(missing_expr(df, "a").alias("m")).agg(F.sum("m")).collect()[0][0]
+    n = df.selectExpr(f"sum(CAST({missing_sql('a', 'double')} AS BIGINT))").collect()[0][0]
     assert n == 2
 
 
