@@ -351,13 +351,3 @@ def sample_pass(
         return proj.toPandas()
     frac = min(1.0, (n / total_rows) * 1.1)
     return proj.sample(fraction=frac, seed=seed).limit(n).toPandas()
-
-
-def freedman_diaconis_bins(n: int, iqr: float, span: float, default: int) -> int:
-    """Freedman–Diaconis bin-count suggestion, clamped to [1, default*4]."""
-    if n <= 0 or iqr <= 0 or span <= 0:
-        return default
-    width = 2 * iqr / (n ** (1 / 3))
-    if width <= 0:
-        return default
-    return int(min(max(1, math.ceil(span / width)), default * 4))

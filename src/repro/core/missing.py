@@ -2,12 +2,13 @@
 after the Missingno library the paper derives its mapping rules from.
 
 * ``plot_missing(df)`` — missing bar chart, missing **spectrum** (per
-  row-segment missing rate), **nullity correlation** heatmap, and a
-  **dendrogram** of columns clustered by nullity similarity.
+  row-segment missing rate: one partition-size query, then one
+  ``groupBy(segment)``), **nullity correlation** heatmap (one co-moment
+  scan), and a **dendrogram** of columns clustered by nullity similarity.
 * ``plot_missing(df, c1)`` — for every other column, its distribution
   before vs after dropping the rows where ``c1`` is missing (the paper
   notes this is the most expensive task: two frequency distributions per
-  column — here both distributions come out of **one** fused melted
+  column — here both distributions come out of **one** stacked
   aggregation per type class).
 * ``plot_missing(df, c1, c2)`` — histogram, PDF, CDF and box plot of
   ``c2`` before/after dropping ``c1``-missing rows.
@@ -33,8 +34,6 @@ from repro.substrate.sparkutils import (
     missing_sql,
     null_indicators,
     numeric_sql,
-    quote,
-    with_row_index,
 )
 
 
@@ -48,42 +47,90 @@ def missing_counts_pass(df: DataFrame) -> tuple[int, pd.Series]:
     return int(row[0]), pd.Series({c: int(v or 0) for c, v in zip(df.columns, row[1:])})
 
 
-def spectrum_pass(df: DataFrame, bins: int, nrows: int | None = None) -> pd.DataFrame:
+#: ``monotonically_increasing_id`` keeps a row's position inside its
+#: partition in the lower 33 bits and the partition id above them.
+_POSITION_BITS = 33
+
+
+def spectrum_pass(df: DataFrame, bins: int) -> pd.DataFrame:
     """Missing rate per (row segment, column): the missing spectrum plot.
 
-    Rows are assigned contiguous indices with the partition-offset
-    technique (no single-partition collapse), bucketed into ``bins``
-    segments, melted, and aggregated in one shuffle for all columns.
-    ``nrows`` (when already known from a stats pass) avoids a count job.
+    Row ``i``, counted in partition order (the order ``toPandas`` returns),
+    falls in segment ``floor(i * bins / nrows)``. Two small queries, with no
+    window, join or unpivot: the partition sizes first (the chunk-size
+    precompute of paper §5), whose running sum gives ``nrows`` and each
+    partition's offset; then one ``groupBy(segment)`` that averages every
+    column's 0/1 missing indicator. A row's index is its partition's offset
+    (an inline array literal) plus its position in the partition, both read
+    off ``monotonically_increasing_id``. The wide result is reshaped to long
+    format (``segment``, ``column``, ``missing_rate``, ``n``) on the driver,
+    sorted by segment, then column. Segments that hold no row are absent.
     """
-    indexed = with_row_index(null_indicators(df), "__row")
-    if nrows is None:
-        nrows = indexed.count()
-    nrows = max(nrows, 1)
-    bucket = F.least(
-        F.floor(F.col("__row") * bins / F.lit(nrows)).cast("int"), F.lit(bins - 1)
+    sizes = dict(df.selectExpr("spark_partition_id() AS pid").groupBy("pid").count().collect())
+    nrows = sum(sizes.values())
+    if nrows == 0:
+        return pd.DataFrame(
+            {
+                "segment": pd.Series(dtype="int32"),
+                "column": pd.Series(dtype="object"),
+                "missing_rate": pd.Series(dtype="float64"),
+                "n": pd.Series(dtype="int64"),
+            }
+        )
+    counts = np.zeros(max(sizes) + 1, dtype="int64")
+    counts[list(sizes)] = list(sizes.values())
+    offsets = np.cumsum(counts) - counts
+    offsets_sql = "array(" + ", ".join(f"{o}L" for o in offsets) + ")"
+    row = (
+        f"element_at({offsets_sql}, CAST(shiftright(__mid, {_POSITION_BITS}) AS INT) + 1)"
+        f" + (__mid & {(1 << _POSITION_BITS) - 1}L)"
     )
-    out = (
-        indexed.withColumn("__bucket", bucket)
-        .unpivot(["__bucket"], [quote(c) for c in df.columns], "column", "is_missing")
-        .groupBy("__bucket", "column")
-        .agg(F.avg("is_missing").alias("missing_rate"), F.count(F.lit(1)).alias("n"))
-        .orderBy("__bucket", "column")
+    dtypes = dict(df.dtypes)
+    cols = df.columns
+    # The id is projected once and then read twice: each evaluation of
+    # monotonically_increasing_id() advances its in-partition counter.
+    wide = (
+        df.selectExpr(
+            "monotonically_increasing_id() AS __mid",
+            *[f"CAST({missing_sql(c, dtypes[c])} AS INT) AS _{i}" for i, c in enumerate(cols)],
+        )
+        .selectExpr(f"LEAST(CAST(FLOOR(({row}) * {bins} / {nrows}) AS INT), {bins - 1}) AS segment", "*")
+        .groupBy("segment")
+        .agg(*[F.expr(f"avg(_{i})") for i in range(len(cols))], F.expr("count(1) AS n"))
         .toPandas()
     )
-    return out.rename(columns={"__bucket": "segment"})
+    k, nseg = len(cols), len(wide)
+    out = pd.DataFrame(
+        {
+            "segment": np.repeat(wide["segment"].to_numpy(dtype="int32"), k),
+            "column": np.tile(np.array(cols, dtype=object), nseg),
+            "missing_rate": wide.iloc[:, 1:1 + k].to_numpy(dtype="float64").ravel(),
+            "n": np.repeat(wide["n"].to_numpy(dtype="int64"), k),
+        }
+    )
+    return out.sort_values(["segment", "column"], kind="stable", ignore_index=True)
+
+
+def partially_missing(miss: pd.Series, nrows: int) -> list[str]:
+    """Columns with some but not all cells missing: the nullity heatmap's.
+
+    Constant indicators (never / always missing) have zero variance, so
+    Missingno leaves them out, and so does this.
+    """
+    return [c for c in miss.index if 0 < miss[c] < nrows]
+
+
+def empty_nullity(cols: list[str]) -> pd.DataFrame:
+    """The nullity heatmap when fewer than two columns are partially missing."""
+    return pd.DataFrame(index=cols, columns=cols, dtype="float64")
 
 
 def nullity_correlation(df: DataFrame, miss: pd.Series, nrows: int) -> pd.DataFrame:
-    """Pearson correlation of missingness indicators (Missingno heatmap).
-
-    Only columns that are partially missing participate — constant
-    indicators (never / always missing) have zero variance, exactly as
-    Missingno excludes them.
-    """
-    cols = [c for c in miss.index if 0 < miss[c] < nrows]
+    """Pearson correlation of missingness indicators (Missingno heatmap)
+    over the ``partially_missing`` columns."""
+    cols = partially_missing(miss, nrows)
     if len(cols) < 2:
-        return pd.DataFrame(index=cols, columns=cols, dtype="float64")
+        return empty_nullity(cols)
     return pearson_matrix(null_indicators(df, cols), cols)
 
 
@@ -106,7 +153,7 @@ def compute_missing(df: DataFrame, cfg: Config) -> Intermediates:
     inter["nrows"] = nrows
     inter["bar"] = miss
     inter["missing_rate"] = (miss / nrows) if nrows else miss.astype("float64")
-    inter["spectrum"] = spectrum_pass(df, cfg["spectrum.bins"], nrows)
+    inter["spectrum"] = spectrum_pass(df, cfg["spectrum.bins"])
     corr = nullity_correlation(df, miss, nrows)
     inter["nullity_corr"] = corr
     inter["dendrogram"] = nullity_dendrogram(corr)

@@ -18,15 +18,22 @@ computed exactly once:
                              (1 stacked shuffle, 1 action)
 5.  ``sample_pass``          one seeded numeric sample shared by KDE,
                              Kendall and the hexbin interactions
-6.  ``pearson_matrix``       all pairs from one co-moment scan
+6.  ``pearson_matrix``       one co-moment scan over the cleaned numeric
+                             columns and the missing indicators of the
+                             partially-missing columns: the numeric block
+                             is the Pearson matrix, the indicator block
+                             the nullity heatmap
 7.  ``spearman_matrix``      ranks on the driver below a cell budget, else a
                              rank projection plus the same co-moment scan
-8.  ``spectrum_pass`` and ``nullity_correlation`` for the missing section
+8.  ``spectrum_pass``        missing spectrum: a partition-size query, then
+                             one ``groupBy(segment)`` with the partition
+                             offsets inlined (no window, no join)
 
 Everything else (Q-Q, box geometry, KDE, tau-b, linkage, insights,
 rendering) is driver-side pandas/numpy over the reduced intermediates —
 the paper's Dask-Computation / Pandas-Computation split (§5.2). A report
-runs 24 Spark jobs on the titanic and adult shapes.
+runs 17 Spark jobs on the titanic and adult shapes, and on titanic with
+every column duplicated.
 """
 from __future__ import annotations
 
@@ -45,11 +52,36 @@ from repro.core.insights import (
     missing_insights,
 )
 from repro.core.intermediates import EDAResult, Insight, Intermediates
-from repro.core.missing import nullity_correlation, nullity_dendrogram, spectrum_pass
+from repro.core.missing import (
+    empty_nullity,
+    nullity_dendrogram,
+    partially_missing,
+    spectrum_pass,
+)
 from repro.core.overview import duplicate_rows_pass
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
 from repro.core.univariate import box_plot_stats
 from repro.substrate import numutils
+from repro.substrate.sparkutils import missing_sql, numeric_sql
+
+
+def _shared_comoments(df: DataFrame, num_cols: list[str], null_cols: list[str]) -> np.ndarray:
+    """Pearson matrix over ``num_cols`` followed by the 0/1 missing
+    indicators of ``null_cols``, from one co-moment scan.
+
+    The numeric block is the report's Pearson matrix and the indicator
+    block its nullity heatmap. The projection uses positional names, so a
+    column and its indicator stay apart.
+    """
+    dtypes = dict(df.dtypes)
+    exprs = [numeric_sql(c, dtypes[c]) for c in num_cols] + [
+        f"CAST({missing_sql(c, dtypes[c])} AS DOUBLE)" for c in null_cols
+    ]
+    if not exprs:
+        return np.zeros((0, 0))
+    names = [f"_{i}" for i in range(len(exprs))]
+    proj = df.selectExpr(*[f"{e} AS {n}" for e, n in zip(exprs, names)])
+    return pearson_matrix(proj, names).to_numpy()
 
 
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
@@ -84,19 +116,31 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         if num_cols else pd.DataFrame()
     )
 
-    corr: dict[str, pd.DataFrame] = {}
+    miss_counts = pd.Series({c: int(s["nmissing"]) for c, s in col_stats.items()})
+    null_cols = partially_missing(miss_counts, nrows)
     methods = cfg["correlation.methods"]
+    pearson_cols = num_cols if "pearson" in methods else []
+    heatmap_cols = null_cols if len(null_cols) >= 2 else []
+    comoments = _shared_comoments(df, pearson_cols, heatmap_cols)
+    p = len(pearson_cols)
+
+    corr: dict[str, pd.DataFrame] = {}
     if "pearson" in methods:
-        corr["pearson"] = pearson_matrix(df, num_cols)
+        corr["pearson"] = (
+            pd.DataFrame(comoments[:p, :p], index=num_cols, columns=num_cols)
+            if num_cols else pd.DataFrame()
+        )
     if "spearman" in methods:
         corr["spearman"] = spearman_matrix(df, num_cols, nrows=nrows)
     if "kendall" in methods:
         ksample = sample.head(cfg["kendall.sample_size"]) if len(sample) else sample
         corr["kendall"] = kendall_matrix(ksample, num_cols)
 
-    miss_counts = pd.Series({c: int(s["nmissing"]) for c, s in col_stats.items()})
-    spectrum = spectrum_pass(df, cfg["spectrum.bins"], nrows)
-    nullity = nullity_correlation(df, miss_counts, nrows)
+    spectrum = spectrum_pass(df, cfg["spectrum.bins"])
+    nullity = (
+        pd.DataFrame(comoments[p:, p:], index=heatmap_cols, columns=heatmap_cols)
+        if heatmap_cols else empty_nullity(null_cols)
+    )
     dendrogram = nullity_dendrogram(nullity)
 
     # -- pandas Computation phase (driver-side shaping) ------------------

@@ -4,6 +4,7 @@
                 Kendall tau-b, KS distance, uniformity statistic).
 ``cluster``   — agglomerative hierarchical clustering + dendrogram linkage,
                 replacing scipy.cluster for the nullity dendrogram.
-``sparkutils``— Spark DataFrame helpers: contiguous row index, multi-column
-                melt, null-indicator frame.
+``sparkutils``— Spark DataFrame helpers: the SQL-text vocabulary the fused
+                passes share (quoting, clean numeric, missing, equi-width
+                bin), null-indicator frame.
 """

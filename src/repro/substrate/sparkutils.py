@@ -17,7 +17,6 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 __all__ = [
-    "melt",
     "quote",
     "double_sql",
     "finite_sql",
@@ -98,18 +97,6 @@ def bin_sql(value_sql: str, mn: float, mx: float, bins: int) -> str:
     return f"CASE WHEN {value_sql} IS NOT NULL THEN LEAST({idx}, {bins - 1}) END"
 
 
-def melt(df: DataFrame, cols: list[str], var_name: str = "column", value_name: str = "value") -> DataFrame:
-    """Long-format (column-name, value) frame over ``cols``.
-
-    Values are cast to string-free common type by the caller; this wrapper
-    uses Spark's native ``unpivot`` (Catalyst `Unpivot` node) so the melt is
-    a zero-shuffle narrow transformation.
-    """
-    if not cols:
-        raise ValueError("melt requires at least one column")
-    return df.unpivot([], cols, var_name, value_name)
-
-
 def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
     """Contiguous 0-based row index without collapsing to one partition.
 
@@ -118,8 +105,14 @@ def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
     each partition (parallel window over ``spark_partition_id``), count rows
     per partition, and add the driver-computed cumulative offset back via a
     broadcast join — the DataFrame version of ``zipWithIndex``.
-    Ordering follows current partition layout, which is what the missing
-    spectrum needs (file/row locality, not a semantic order).
+    Ordering follows current partition layout (file/row locality, not a
+    semantic order).
+
+    No pass calls this any more: ``missing.spectrum_pass`` reads partition
+    offsets and in-partition positions off ``monotonically_increasing_id``
+    instead. It stays because the benchmark's layer list
+    (``perfbench/layers.json``) traces it by name, and the tracer raises on
+    a missing function; it goes with the next change to the benchmark.
     """
     pid = F.spark_partition_id()
     tagged = df.withColumn("__pid", pid).withColumn(

@@ -19,6 +19,19 @@ def titanic(spark):
 
 
 @pytest.fixture(scope="session")
+def titanic_wide(titanic):
+    """titanic with every column duplicated: 24 columns, cached."""
+    from repro.substrate.sparkutils import quote
+
+    cols = [quote(c) for c in titanic.columns]
+    dups = [f"{quote(c)} AS {quote(c + '_dup')}" for c in titanic.columns]
+    df = titanic.selectExpr(*cols, *dups)
+    df.cache().count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="session")
 def titanic_pdf(titanic) -> pd.DataFrame:
     """The same rows as pandas, for oracle/pandas cross-checks."""
     return titanic.toPandas()

@@ -239,10 +239,3 @@ def test_missing_expr_counts_nan(spark):
     df = spark.createDataFrame(pdf)
     n = df.selectExpr(f"sum(CAST({missing_sql('a', 'double')} AS BIGINT))").collect()[0][0]
     assert n == 2
-
-
-def test_freedman_diaconis():
-    assert compute.freedman_diaconis_bins(0, 1.0, 1.0, 50) == 50
-    assert compute.freedman_diaconis_bins(1000, 0.0, 1.0, 50) == 50
-    b = compute.freedman_diaconis_bins(1000, 1.0, 10.0, 50)
-    assert 1 <= b <= 200

@@ -109,6 +109,53 @@ class TestOverviewVariant:
         assert {"a", "b", "c"} <= flagged
 
 
+def _spectrum_oracle(pdf: pd.DataFrame, bins: int) -> pd.DataFrame:
+    """Row ``i`` of ``pdf`` in segment ``floor(i * bins / n)`` (float64);
+    mean and count of each column's missing indicator per segment."""
+    n = len(pdf)
+    ind = pdf.isna().astype("int64")
+    ind["segment"] = np.floor(np.arange(n) * bins / n).astype("int32")
+    long = ind.melt(id_vars="segment", var_name="column", value_name="is_missing")
+    return (
+        long.groupby(["segment", "column"])["is_missing"]
+        .agg(missing_rate="mean", n="count")
+        .reset_index()
+        .astype({"segment": "int32", "column": "object", "missing_rate": "float64", "n": "int64"})
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_sparse(spark):
+    """5 rows over 8 partitions: empty partitions and fewer rows than bins."""
+    pdf = pd.DataFrame(
+        {"a": [1.0, None, np.nan, 4.0, 5.0], "k": ["x", None, "y", None, "z"]}
+    )
+    return spark.createDataFrame(pdf).repartition(8)
+
+
+@pytest.fixture(scope="module")
+def md_uncached(spark, md_pdf):
+    return spark.createDataFrame(md_pdf).repartition(7)
+
+
+@pytest.mark.parametrize("frame", ["md", "tiny_sparse", "md_uncached"])
+@pytest.mark.parametrize("bins", [10, 7])
+def test_spectrum_exact_vs_pandas(request, frame, bins):
+    df = request.getfixturevalue(frame)
+    got = spectrum_pass(df, bins)
+    pd.testing.assert_frame_equal(got, _spectrum_oracle(df.toPandas(), bins), check_exact=True)
+
+
+def test_spectrum_empty_and_single_row(spark, md_pdf):
+    cols = ["segment", "column", "missing_rate", "n"]
+    empty = spark.createDataFrame(md_pdf.head(0), "a double, b double, c double, k string")
+    none = spectrum_pass(empty, 10)
+    assert list(none.columns) == cols and len(none) == 0
+    one = spectrum_pass(spark.createDataFrame(md_pdf.head(1)), 10)
+    assert list(one.columns) == cols
+    assert one["n"].tolist() == [1, 1, 1, 1]
+
+
 class TestOneColumnVariant:
     @pytest.fixture(scope="class")
     def result(self, md):

@@ -10,7 +10,6 @@ import pytest
 from py4j import clientserver, java_gateway
 
 from repro.core import create_report, plot
-from repro.substrate.sparkutils import quote
 
 REPORT_BUDGET = 2_500
 OVERVIEW_BUDGET = 500
@@ -32,17 +31,6 @@ def _count_round_trips(monkeypatch, fn) -> int:
     finally:
         monkeypatch.undo()
     return n
-
-
-@pytest.fixture(scope="module")
-def titanic_wide(titanic):
-    """titanic with every column duplicated: 24 columns."""
-    cols = [quote(c) for c in titanic.columns]
-    dups = [f"{quote(c)} AS {quote(c + '_dup')}" for c in titanic.columns]
-    df = titanic.selectExpr(*cols, *dups)
-    df.cache().count()
-    yield df
-    df.unpersist()
 
 
 @pytest.mark.parametrize("frame", ["titanic", "titanic_wide"])

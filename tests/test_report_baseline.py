@@ -7,7 +7,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import create_report
 from repro.core.config import Config
+from repro.core.correlation import pearson_matrix
+from repro.core.missing import missing_counts_pass, nullity_correlation
 
 
 class TestReport:
@@ -113,6 +116,49 @@ class TestBaselineAgreement:
             assert np.allclose(
                 a.values.astype(float), b.values.astype(float), atol=1e-9, equal_nan=True
             )
+
+
+class TestSharedComomentScan:
+    """The report takes its Pearson matrix and nullity heatmap from one
+    co-moment scan; each must equal its standalone computation."""
+
+    @pytest.fixture(scope="class")
+    def one_missing(self, spark):
+        """Exactly one partially-missing column, so the heatmap is empty."""
+        g = np.random.default_rng(11)
+        pdf = pd.DataFrame(
+            {"x": g.random(200), "y": g.random(200), "k": g.choice(["u", "v"], 200).astype(object)}
+        )
+        pdf.loc[g.random(200) < 0.3, "x"] = np.nan
+        return spark.createDataFrame(pdf).repartition(3)
+
+    @staticmethod
+    def check(df, inter, pearson=True):
+        nrows, miss = missing_counts_pass(df)
+        pd.testing.assert_frame_equal(
+            inter["missing"]["nullity_corr"], nullity_correlation(df, miss, nrows), check_exact=True
+        )
+        corr = inter["correlations"]
+        if not pearson:
+            assert "pearson" not in corr
+            return
+        num_cols = [c for c, t in inter["types"].items() if t == "numerical"]
+        pd.testing.assert_frame_equal(
+            corr["pearson"], pearson_matrix(df, num_cols), check_exact=False, rtol=0, atol=1e-12
+        )
+
+    def test_titanic(self, titanic, report_result):
+        assert report_result.intermediates["missing"]["nullity_corr"].shape[0] >= 2
+        self.check(titanic, report_result.intermediates)
+
+    def test_one_partially_missing_column(self, one_missing):
+        inter = create_report(one_missing).intermediates
+        assert inter["missing"]["nullity_corr"].shape == (1, 1)
+        self.check(one_missing, inter)
+
+    def test_without_pearson(self, titanic):
+        inter = create_report(titanic, config={"correlation.methods": ("spearman",)}).intermediates
+        self.check(titanic, inter, pearson=False)
 
 
 class TestReportConfig:

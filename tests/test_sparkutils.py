@@ -9,7 +9,6 @@ from repro.substrate.sparkutils import (
     double_sql,
     finite_sql,
     infinite_sql,
-    melt,
     missing_count_sql,
     null_indicators,
     numeric_sql,
@@ -28,23 +27,6 @@ def small(spark):
         }
     )
     return spark.createDataFrame(pdf)
-
-
-def test_melt_long_shape(small):
-    out = melt(small.select("a", "b"), ["a", "b"]).toPandas()
-    assert set(out.columns) == {"column", "value"}
-    assert len(out) == 8
-    assert set(out["column"]) == {"a", "b"}
-
-
-def test_melt_requires_columns(small):
-    with pytest.raises(ValueError):
-        melt(small, [])
-
-
-def test_melt_custom_names(small):
-    out = melt(small.select("a"), ["a"], var_name="col", value_name="v")
-    assert set(out.columns) == {"col", "v"}
 
 
 def test_with_row_index_contiguous(spark):
