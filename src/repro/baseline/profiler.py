@@ -33,11 +33,13 @@ from repro.core.config import Config
 from repro.core.correlation import kendall_matrix
 from repro.core.dtypes import EDAType, detect_types
 from repro.core.intermediates import Intermediates
+from repro.substrate import numutils
 from repro.substrate.sparkutils import bin_sql, missing_count_sql, numeric_sql, quote
 
 
 def _numeric_clean(df: DataFrame, col: str) -> DataFrame:
-    return df.selectExpr(f"{numeric_sql(col, dict(df.dtypes)[col])} AS {quote(col)}")
+    """``col`` cleaned (``numeric_sql``) as the single column ``v``."""
+    return df.selectExpr(f"{numeric_sql(col, dict(df.dtypes)[col])} AS v")
 
 
 def _nmissing(df: DataFrame, col: str) -> int:
@@ -48,43 +50,43 @@ def _nmissing(df: DataFrame, col: str) -> int:
 def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
     """Eager per-column profile: each family is its own Spark action."""
     proj = _numeric_clean(df, col)
+    v = F.col("v")
     stats: dict[str, object] = {}
-    stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
+    stats["count"] = proj.where(v.isNotNull()).count()                             # action 1
     stats["nmissing"] = _nmissing(df, col)                                         # action 2
-    stats["distinct"] = proj.select(col).distinct().count()                        # action 3
-    row = proj.agg(F.min(col), F.max(col)).collect()[0]                            # action 4
+    stats["distinct"] = proj.distinct().count()                                    # action 3
+    row = proj.agg(F.min(v), F.max(v)).collect()[0]                                # action 4
     stats["min"], stats["max"] = row[0], row[1]
-    row = proj.agg(F.mean(col), F.stddev(col), F.sum(col)).collect()[0]            # action 5
+    row = proj.agg(F.mean(v), F.stddev(v), F.sum(v)).collect()[0]                  # action 5
     stats["mean"], stats["std"], stats["sum"] = row[0], row[1], row[2]
-    row = proj.agg(F.skewness(col), F.kurtosis(col)).collect()[0]                  # action 6
+    row = proj.agg(F.skewness(v), F.kurtosis(v)).collect()[0]                      # action 6
     stats["skew"], stats["kurt"] = row[0], row[1]
     row = proj.agg(
-        F.sum((F.col(col) == 0).cast("long")), F.sum((F.col(col) < 0).cast("long"))
+        F.sum((v == 0).cast("long")), F.sum((v < 0).cast("long"))
     ).collect()[0]                                                                 # action 7
     stats["nzero"], stats["nnegative"] = row[0], row[1]
-    qs = proj.approxQuantile(col, [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99], 0.001)  # action 8
+    qs = proj.approxQuantile("v", [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99], 0.001)  # action 8
     stats["quantiles"] = dict(zip((0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99), qs))
     # PP's variables section also builds a "common values" table (value
     # counts of the *numeric* column) and "minimum/maximum 10 values"
     # tables — each its own eager computation in PP, hence own actions.
+    nn = proj.where(v.isNotNull())
     common = (
-        proj.where(F.col(col).isNotNull())
-        .groupBy(col).count()
-        .orderBy(F.desc("count"), F.asc(col)).limit(10).toPandas()            # action 9
+        nn.groupBy("v").count()
+        .orderBy(F.desc("count"), F.asc("v")).limit(10).toPandas()             # action 9
     )
     stats["common_values"] = pd.Series(
-        common["count"].to_numpy("int64"), index=common[col].to_numpy(object)
+        common["count"].to_numpy("int64"), index=common["v"].to_numpy(object)
     )
-    nn = proj.where(F.col(col).isNotNull())
-    stats["min_values"] = [r[0] for r in nn.orderBy(F.asc(col)).limit(10).collect()]   # action 10
-    stats["max_values"] = [r[0] for r in nn.orderBy(F.desc(col)).limit(10).collect()]  # action 11
+    stats["min_values"] = [r[0] for r in nn.orderBy(F.asc("v")).limit(10).collect()]   # action 10
+    stats["max_values"] = [r[0] for r in nn.orderBy(F.desc("v")).limit(10).collect()]  # action 11
     # histogram: its own min/max pass then its own binning pass (PP's
     # numpy.histogram scans once for the range and once for the bins).
     mn, mx = stats["min"], stats["max"]
     bins = cfg["hist.bins"]
     if mn is not None and mx is not None and mx > mn:
         counts_pdf = (
-            proj.selectExpr(f"{bin_sql(quote(col), mn, mx, bins)} AS bin")
+            proj.selectExpr(f"{bin_sql('v', mn, mx, bins)} AS bin")
             .where("bin IS NOT NULL")
             .groupBy("bin")
             .count()
@@ -99,25 +101,24 @@ def _profile_numeric_column(df: DataFrame, col: str, cfg: Config) -> dict[str, o
 
 
 def _profile_categorical_column(df: DataFrame, col: str, cfg: Config) -> dict[str, object]:
-    proj = df.select(F.col(col).cast("string").alias(col))
+    proj = df.selectExpr(f"CAST({quote(col)} AS STRING) AS v")
+    nn = proj.where(F.col("v").isNotNull())
     stats: dict[str, object] = {}
-    stats["count"] = proj.where(F.col(col).isNotNull()).count()                    # action 1
+    stats["count"] = nn.count()                                                    # action 1
     stats["nmissing"] = _nmissing(df, col)                                         # action 2
-    stats["distinct"] = proj.where(F.col(col).isNotNull()).distinct().count()      # action 3
-    row = proj.agg(
-        F.min(F.length(col)), F.max(F.length(col)), F.mean(F.length(col))
-    ).collect()[0]                                                                 # action 4
+    stats["distinct"] = nn.distinct().count()                                      # action 3
+    ln = F.length("v")
+    row = proj.agg(F.min(ln), F.max(ln), F.mean(ln)).collect()[0]                  # action 4
     stats["len_min"], stats["len_max"], stats["len_mean"] = row[0], row[1], row[2]
     vc = (
-        proj.where(F.col(col).isNotNull())
-        .groupBy(col)
+        nn.groupBy("v")
         .count()
-        .orderBy(F.desc("count"), F.asc(col))
+        .orderBy(F.desc("count"), F.asc("v"))
         .limit(1000)
         .toPandas()                                                                # action 5
     )
     stats["value_counts"] = pd.Series(
-        vc["count"].to_numpy("int64"), index=vc[col].to_numpy(object), name=col
+        vc["count"].to_numpy("int64"), index=vc["v"].to_numpy(object), name=col
     )
     return stats
 
@@ -152,7 +153,7 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
         variables[c] = _profile_categorical_column(df, c, cfg)
     for c in df.columns:
         if c not in variables:  # datetime columns: min/max only
-            row = df.agg(F.min(c), F.max(c)).collect()[0]
+            row = df.selectExpr(f"min({quote(c)})", f"max({quote(c)})").collect()[0]
             variables[c] = {"min": row[0], "max": row[1]}
     inter["variables"] = variables
     miss_bar = pd.Series({c: int(variables[c].get("nmissing") or 0) for c in df.columns})
@@ -160,23 +161,16 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
     # Interactions: one sampled collect per numeric pair (PP draws a plot
     # per pair; each is its own eager computation).
     interactions: dict[tuple[str, str], pd.DataFrame] = {}
-    gs = cfg["hexbin.gridsize"]
     for i, a in enumerate(num_cols):
         for b in num_cols[i + 1:]:
             pair_pdf = (
-                df.select(F.col(a).cast("double"), F.col(b).cast("double"))
+                df.selectExpr(f"CAST({quote(a)} AS DOUBLE) AS x", f"CAST({quote(b)} AS DOUBLE) AS y")
                 .dropna()
                 .sample(fraction=min(1.0, 10_000 / max(nrows, 1)), seed=cfg["compute.seed"])
                 .toPandas()                                                        # one action per pair
             )
-            if pair_pdf.empty:
-                interactions[(a, b)] = pd.DataFrame(columns=["xbin", "ybin", "count"])
-                continue
-            xs, ys = pair_pdf.iloc[:, 0], pair_pdf.iloc[:, 1]
-            xb = np.clip(((xs - xs.min()) / ((xs.max() - xs.min()) or 1) * gs).astype(int), 0, gs - 1)
-            yb = np.clip(((ys - ys.min()) / ((ys.max() - ys.min()) or 1) * gs).astype(int), 0, gs - 1)
-            interactions[(a, b)] = (
-                pd.DataFrame({"xbin": xb, "ybin": yb}).value_counts().rename("count").reset_index()
+            interactions[(a, b)] = numutils.hexbin_counts(
+                pair_pdf["x"].to_numpy(), pair_pdf["y"].to_numpy(), cfg["hexbin.gridsize"]
             )
     inter["interactions"] = interactions
 
@@ -194,7 +188,7 @@ def eager_profile_report(df: DataFrame, config: dict | None = None) -> Intermedi
         corr["spearman"] = spearman_matrix(df, num_cols)
     if num_cols and "kendall" in methods:
         ksample = (
-            df.select([F.col(c).cast("double").alias(c) for c in num_cols])
+            df.selectExpr(*[f"CAST({quote(c)} AS DOUBLE) AS {quote(c)}" for c in num_cols])
             .sample(fraction=min(1.0, cfg["kendall.sample_size"] / max(nrows, 1) * 1.1), seed=cfg["compute.seed"])
             .limit(cfg["kendall.sample_size"])
             .toPandas()

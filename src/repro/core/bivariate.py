@@ -22,27 +22,34 @@ from repro.core import compute
 from repro.core.config import Config
 from repro.core.dtypes import EDAType, detect_type
 from repro.core.intermediates import Intermediates
-from repro.substrate.sparkutils import bin_sql, quote
+from repro.substrate.sparkutils import bin_sql, missing_sql, quote
+
+
+def _double(col: str) -> str:
+    return f"CAST({quote(col)} AS DOUBLE)"
 
 
 def _minmax(df: DataFrame, cols: list[str]) -> dict[str, tuple[float, float]]:
     """Single-job min/max of the given numeric columns (bin-edge metadata)."""
     exprs = []
     for c in cols:
-        exprs += [F.min(F.col(c).cast("double")).alias(f"{c}__mn"),
-                  F.max(F.col(c).cast("double")).alias(f"{c}__mx")]
-    row = df.agg(*exprs).collect()[0]
-    return {c: (row[f"{c}__mn"], row[f"{c}__mx"]) for c in cols}
+        exprs += [f"min({_double(c)})", f"max({_double(c)})"]
+    row = df.selectExpr(*[f"{e} AS _{i}" for i, e in enumerate(exprs)]).collect()[0]
+    return {c: (row[2 * i], row[2 * i + 1]) for i, c in enumerate(cols)}
 
 
-def _bin_expr(col: str, mn: float, mx: float, bins: int):
-    return F.expr(bin_sql(f"CAST({quote(col)} AS DOUBLE)", mn, mx, bins))
+def _bin_sql(col: str, mn: float, mx: float, bins: int) -> str:
+    return bin_sql(_double(col), mn, mx, bins)
 
 
 def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
-    """NN pair: scatter sample + hexbin grid + binned box plot."""
-    proj = df.where(F.col(x).isNotNull() & F.col(y).isNotNull())
-    proj = proj.where(~F.isnan(F.col(x).cast("double")) & ~F.isnan(F.col(y).cast("double")))
+    """NN pair: scatter sample + hexbin grid + binned box plot.
+
+    Rows with a NULL or NaN in either column are dropped; ±inf stay and
+    bound the bin edges.
+    """
+    dtypes = dict(df.dtypes)
+    proj = df.where(f"NOT {missing_sql(x, dtypes[x])} AND NOT {missing_sql(y, dtypes[y])}")
     mm = _minmax(proj, [x, y])
     (x_mn, x_mx), (y_mn, y_mx) = mm[x], mm[y]
 
@@ -62,9 +69,9 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
 
     gs = cfg["hexbin.gridsize"]
     hexbin = (
-        proj.select(
-            _bin_expr(x, x_mn, x_mx, gs).alias("xbin"),
-            _bin_expr(y, y_mn, y_mx, gs).alias("ybin"),
+        proj.selectExpr(
+            f"{_bin_sql(x, x_mn, x_mx, gs)} AS xbin",
+            f"{_bin_sql(y, y_mn, y_mx, gs)} AS ybin",
         )
         .groupBy("xbin", "ybin")
         .count()
@@ -76,7 +83,7 @@ def compute_num_num(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates
 
     nb = cfg["boxnum.bins"]
     box = (
-        proj.select(_bin_expr(x, x_mn, x_mx, nb).alias("xbin"), F.col(y).cast("double").alias("y"))
+        proj.selectExpr(f"{_bin_sql(x, x_mn, x_mx, nb)} AS xbin", f"{_double(y)} AS y")
         .groupBy("xbin")
         .agg(
             F.percentile_approx("y", [0.25, 0.5, 0.75]).alias("q"),
@@ -102,11 +109,10 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     The top ``line.ngroups`` categories (by frequency) are analyzed; the
     category ranking, box stats, and line histograms take three fused jobs.
     """
+    dtypes = dict(df.dtypes)
     proj = df.where(
-        F.col(num).isNotNull()
-        & ~F.isnan(F.col(num).cast("double"))
-        & F.col(cat).isNotNull()
-    ).select(F.col(cat).cast("string").alias("g"), F.col(num).cast("double").alias("y"))
+        f"NOT {missing_sql(num, dtypes[num])} AND {quote(cat)} IS NOT NULL"
+    ).selectExpr(f"CAST({quote(cat)} AS STRING) AS g", f"{_double(num)} AS y")
 
     ngroups = cfg["line.ngroups"]
     top_pdf = (
@@ -143,7 +149,7 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
     bins = cfg["hist.bins"]
     if y_mx > y_mn:
         counts = (
-            sub.select("g", _bin_expr("y", y_mn, y_mx, bins).alias("bin"))
+            sub.selectExpr("g", f"{_bin_sql('y', y_mn, y_mx, bins)} AS bin")
             .groupBy("g", "bin")
             .count()
             .toPandas()
@@ -165,8 +171,9 @@ def compute_num_cat(df: DataFrame, num: str, cat: str, cfg: Config) -> Intermedi
 def compute_cat_cat(df: DataFrame, x: str, y: str, cfg: Config) -> Intermediates:
     """CC pair: one contingency groupBy feeding nested/stacked/heatmap."""
     ct = (
-        df.where(F.col(x).isNotNull() & F.col(y).isNotNull())
-        .groupBy(F.col(x).cast("string").alias("x"), F.col(y).cast("string").alias("y"))
+        df.where(f"{quote(x)} IS NOT NULL AND {quote(y)} IS NOT NULL")
+        .selectExpr(f"CAST({quote(x)} AS STRING) AS x", f"CAST({quote(y)} AS STRING) AS y")
+        .groupBy("x", "y")
         .count()
         .toPandas()
     )

@@ -182,32 +182,6 @@ def basic_stats_pass(
     return out
 
 
-def quantiles_pass(
-    df: DataFrame,
-    num_cols: list[str],
-    types: Mapping[str, EDAType],
-    probs: tuple[float, ...] = STATS_QUANTILES,
-    rel_err: float = 0.001,
-) -> dict[str, dict[float, float]]:
-    """Approximate quantiles of all numeric columns in one pass.
-
-    Uses the Greenwald–Khanna sketch behind ``approxQuantile``; one job for
-    all columns and all probabilities. Only a fallback: the stats pass
-    sketches the quantiles inside its own scan.
-    """
-    if not num_cols:
-        return {}
-    dtypes = dict(df.dtypes)
-    names = [f"_{i}" for i in range(len(num_cols))]
-    cleaned = df.selectExpr(
-        *[f"{numeric_sql(c, dtypes[c])} AS {n}" for c, n in zip(num_cols, names)]
-    )
-    res = cleaned.approxQuantile(names, list(probs), rel_err)
-    return {
-        c: {p: q for p, q in zip(probs, qs)} for c, qs in zip(num_cols, res)
-    }
-
-
 def stacked_bins_sql(
     df: DataFrame,
     cols: list[str],

@@ -15,7 +15,6 @@ from typing import Any, Iterator, Mapping
 # This registry also *is* the how-to guide's knowledge base (core/howto.py).
 DEFAULTS: dict[str, tuple[Any, str]] = {
     # -- compute-wide --
-    "compute.sample_size": (10_000, "Row cap for driver-side samples (scatter, KDE, Kendall)."),
     "compute.seed": (42, "Seed for all sampling, so intermediates are reproducible."),
     # -- per-plot --
     "hist.bins": (50, "Number of equi-width bins in histograms."),

@@ -46,11 +46,3 @@ def detect_type(df: DataFrame, col: str) -> EDAType:
 def detect_types(df: DataFrame) -> dict[str, EDAType]:
     """EDA type for every column, schema-only."""
     return {c: detect_type(df, c) for c in df.columns}
-
-
-def numerical_columns(df: DataFrame) -> list[str]:
-    return [c for c, t in detect_types(df).items() if t is EDAType.NUMERICAL]
-
-
-def categorical_columns(df: DataFrame) -> list[str]:
-    return [c for c, t in detect_types(df).items() if t is EDAType.CATEGORICAL]

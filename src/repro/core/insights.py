@@ -142,7 +142,7 @@ def univariate_insights(inter: Intermediates, cfg: Config) -> list[Insight]:
         col,
         inter["stats"],
         cfg,
-        inter.get("nrows") or (int(inter["stats"].get("count") or 0) + int(inter["stats"].get("nmissing") or 0)),
+        int(inter["nrows"]),
         hist_counts=hist["counts"] if hist else None,
         value_counts=inter.get("bar"),
     )

@@ -39,13 +39,21 @@ def duplicate_rows_pass(df: DataFrame, nrows: int | None = None) -> int:
     return int(nrows) - df.distinct().count()
 
 
-def compute_overview(df: DataFrame, cfg: Config, *, with_duplicates: bool = True) -> Intermediates:
-    """Intermediates for the dataset overview."""
+def compute_overview(
+    df: DataFrame, cfg: Config, quantile_probs: tuple[float, ...] | None = None
+) -> Intermediates:
+    """Intermediates for the dataset overview.
+
+    ``quantile_probs`` are sketched for every numerical column inside the
+    stats pass and returned in its ``col_stats`` entry under
+    ``"quantiles"``: ``plot(df)`` passes none, ``create_report`` the set
+    its box and Q-Q plots need.
+    """
     types = detect_types(df)
     num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
     cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
 
-    stats = compute.basic_stats_pass(df, types)
+    stats = compute.basic_stats_pass(df, types, quantile_probs=quantile_probs)
     nrows = int(stats["__table__"]["nrows"])
     col_stats = {c: s for c, s in stats.items() if c != "__table__"}
 
@@ -66,7 +74,7 @@ def compute_overview(df: DataFrame, cfg: Config, *, with_duplicates: bool = True
         "n_datetime": sum(1 for t in types.values() if t is EDAType.DATETIME),
         "n_missing_cells": n_missing,
         "missing_pct": (n_missing / n_cells) if n_cells else 0.0,
-        "n_duplicate_rows": duplicate_rows_pass(df, nrows) if with_duplicates else None,
+        "n_duplicate_rows": duplicate_rows_pass(df, nrows),
     }
     inter["col_stats"] = col_stats
     inter["hists"] = hists

@@ -5,35 +5,47 @@ The report covers the same five sections as Pandas-profiling (Overview,
 Variables, Interactions, Correlations, Missing Values) but computes them
 through the fused pipeline: a fixed, small number of Spark passes
 **independent of the column count**, with every shared intermediate
-computed exactly once:
+computed exactly once. The report is composed from the task functions
+rather than re-implementing them:
 
-1.  ``basic_stats_pass``     all stats of all columns, plus the quantile
-                             sketch shared by the stats table, box and Q-Q
-                             plots (1 scan)
-2.  ``duplicate_rows_pass``  one distinct count
-3.  ``histogram_pass``       all numeric histograms (1 stacked shuffle; bin
-                             edges from pass 1, the paper's
-                             precompute-metadata stage)
-4.  ``value_counts_pass``    all categorical bars and exact distinct counts
-                             (1 stacked shuffle, 1 action)
-5.  ``sample_pass``          one seeded numeric sample shared by KDE,
-                             Kendall and the hexbin interactions
-6.  ``pearson_matrix``       one co-moment scan over the cleaned numeric
-                             columns and the missing indicators of the
-                             partially-missing columns: the numeric block
-                             is the Pearson matrix, the indicator block
-                             the nullity heatmap
-7.  ``spearman_matrix``      ranks on the driver below a cell budget, else a
-                             rank projection plus the same co-moment scan
-8.  ``spectrum_pass``        missing spectrum: a partition-size query, then
-                             one ``groupBy(segment)`` with the partition
-                             offsets inlined (no window, no join)
+* ``overview.compute_overview`` runs the overview's four passes and gives
+  the Overview section:
 
-Everything else (Q-Q, box geometry, KDE, tau-b, linkage, insights,
-rendering) is driver-side pandas/numpy over the reduced intermediates —
-the paper's Dask-Computation / Pandas-Computation split (§5.2). A report
-runs 17 Spark jobs on the titanic and adult shapes, and on titanic with
-every column duplicated.
+  1. ``basic_stats_pass``     all stats of all columns, plus the quantile
+                              sketch shared by the stats table, box and
+                              Q-Q plots (1 scan)
+  2. ``histogram_pass``       all numeric histograms (1 stacked shuffle;
+                              bin edges from pass 1, the paper's
+                              precompute-metadata stage)
+  3. ``value_counts_pass``    all categorical bars and exact distinct
+                              counts (1 stacked shuffle, 1 action)
+  4. ``duplicate_rows_pass``  one distinct count
+
+* then the report's own passes:
+
+  5. ``sample_pass``          one seeded numeric sample shared by KDE,
+                              Kendall and the hexbin interactions
+  6. ``pearson_matrix``       one co-moment scan over the cleaned numeric
+                              columns and the missing indicators of the
+                              partially-missing columns: the numeric block
+                              is the Pearson matrix, the indicator block
+                              the nullity heatmap
+  7. ``spearman_matrix``      ranks on the driver below a cell budget,
+                              else a rank projection plus the same
+                              co-moment scan
+  8. ``spectrum_pass``        missing spectrum: a partition-size query,
+                              then one ``groupBy(segment)`` with the
+                              partition offsets inlined (no window, no
+                              join)
+
+Everything else is driver-side pandas/numpy over the reduced
+intermediates — the paper's Dask-Computation / Pandas-Computation split
+(§5.2). Each column section is built by ``univariate.shape_numerical`` /
+``shape_categorical``, the same code ``plot(df, col)`` runs, so a
+section equals that call's intermediates (less the word frequencies); the
+interactions are ``numutils.hexbin_counts`` over the shared sample. A
+report runs 17 Spark jobs on the titanic and adult shapes, and on titanic
+with every column duplicated.
 """
 from __future__ import annotations
 
@@ -44,7 +56,7 @@ from pyspark.sql import DataFrame
 from repro.core import compute
 from repro.core.config import Config
 from repro.core.correlation import kendall_matrix, pearson_matrix, spearman_matrix
-from repro.core.dtypes import EDAType, detect_types
+from repro.core.dtypes import EDAType
 from repro.core.insights import (
     correlation_insights,
     dataset_insights,
@@ -58,9 +70,9 @@ from repro.core.missing import (
     partially_missing,
     spectrum_pass,
 )
-from repro.core.overview import duplicate_rows_pass
+from repro.core.overview import compute_overview
 from repro.core.render import render_report, stats_table, svg_bars, svg_line
-from repro.core.univariate import box_plot_stats
+from repro.core.univariate import shape_categorical, shape_numerical, sketch_probs
 from repro.substrate import numutils
 from repro.substrate.sparkutils import missing_sql, numeric_sql
 
@@ -86,26 +98,12 @@ def _shared_comoments(df: DataFrame, num_cols: list[str], null_cols: list[str]) 
 
 def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     """All report intermediates through the fused pipeline (see module doc)."""
-    types = detect_types(df)
-    num_cols = [c for c, t in types.items() if t is EDAType.NUMERICAL]
-    cat_cols = [c for c, t in types.items() if t is EDAType.CATEGORICAL]
-
     # -- Spark Computation phase (fused passes) --------------------------
-    qq_probs = tuple((i + 0.5) / cfg["qq.points"] for i in range(cfg["qq.points"]))
-    all_probs = tuple(sorted(set(compute.STATS_QUANTILES) | set(qq_probs)))
-    stats = compute.basic_stats_pass(df, types, quantile_probs=all_probs)
-    nrows = int(stats["__table__"]["nrows"])
-    col_stats = {c: s for c, s in stats.items() if c != "__table__"}
-
-    n_dup = duplicate_rows_pass(df, nrows)
-
-    quantiles = {
-        c: stats[c].pop("quantiles") for c in num_cols
-    }  # sketched inside the fused stats agg — no separate quantile scan
-
-    minmax = {c: (col_stats[c].get("min"), col_stats[c].get("max")) for c in num_cols}
-    hists = compute.histogram_pass(df, num_cols, types, minmax, cfg["hist.bins"])
-    value_counts = compute.value_counts_pass(df, cat_cols)
+    overview = compute_overview(df, cfg, quantile_probs=sketch_probs(cfg))
+    types = overview["types"]  # EDAType.value strings; EDAType is a str enum, so == matches
+    num_cols = [c for c, t in types.items() if t == EDAType.NUMERICAL]
+    col_stats = overview["col_stats"]
+    nrows = int(overview["dataset_stats"]["nrows"])
 
     sample = (
         compute.sample_pass(
@@ -146,86 +144,37 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
     # -- pandas Computation phase (driver-side shaping) ------------------
     variables: dict[str, Intermediates] = {}
     for c in df.columns:
-        sub = Intermediates(task=f"univariate:{c}")
-        sub["col"] = c
-        sub["type"] = types[c].value
-        sub["nrows"] = nrows
-        if types[c] is EDAType.NUMERICAL:
-            q = quantiles.get(c, {})
-            sub["stats"] = {
-                **col_stats[c],
-                "quantiles": {p: q.get(p) for p in compute.STATS_QUANTILES},
-            }
-            counts, edges = hists[c]
-            sub["hist"] = {"counts": counts, "edges": edges}
-            mn, mx = minmax[c]
-            col_sample = sample[c].dropna().head(cfg["kde.sample_size"]) if c in sample else pd.Series(dtype="float64")
-            if mn is not None and mx is not None and len(col_sample):
-                grid = np.linspace(float(mn), float(mx), cfg["kde.grid_points"])
-                sub["kde"] = {"grid": grid, "density": numutils.gaussian_kde(col_sample.to_numpy(), grid)}
-            else:
-                sub["kde"] = {"grid": np.zeros(0), "density": np.zeros(0)}
-            mean, std = col_stats[c].get("mean"), col_stats[c].get("std")
-            theo = numutils.norm_ppf(np.array(qq_probs))
-            if mean is not None and std not in (None, 0) and std == std and all(p in q for p in qq_probs):
-                sub["qq"] = {
-                    "theoretical": float(mean) + float(std) * theo,
-                    "sample": np.array([q[p] for p in qq_probs], dtype="float64"),
-                }
-            else:
-                sub["qq"] = {"theoretical": np.full(len(qq_probs), np.nan), "sample": np.full(len(qq_probs), np.nan)}
-            if all(p in q and q[p] is not None for p in (0.25, 0.5, 0.75)):
-                sub["box"] = box_plot_stats(q, cfg["box.whisker"])
-        elif types[c] is EDAType.CATEGORICAL:
-            vc = value_counts[c]
-            sub["stats"] = {
-                **col_stats[c],
-                "n_distinct_exact": vc.attrs.get("n_distinct", len(vc)),
-                "n_total": vc.attrs.get("n_total", int(vc.sum())),
-            }
-            sub["bar"] = vc.head(cfg["bar.top_n"])
-        else:
+        if types[c] == EDAType.NUMERICAL:
+            col_sample = sample[c].dropna().head(cfg["kde.sample_size"])
+            variables[c] = shape_numerical(
+                c, col_stats[c], overview["hists"][c], col_sample, nrows, cfg
+            )
+        elif types[c] == EDAType.CATEGORICAL:
+            variables[c] = shape_categorical(
+                c, col_stats[c], overview["value_counts"][c], nrows, cfg
+            )
+        else:  # datetime: statistics only
+            sub = Intermediates(task=f"univariate:{c}")
+            sub["col"] = c
+            sub["type"] = types[c]
+            sub["nrows"] = nrows
             sub["stats"] = dict(col_stats[c])
-        variables[c] = sub
+            variables[c] = sub
 
     # Interactions: hexbin per numeric pair, derived from the one shared
     # sample on the driver (documented substitution — PP recomputes each
     # pair from the full frame, our baseline does too).
-    interactions: dict[tuple[str, str], pd.DataFrame] = {}
-    gs = cfg["hexbin.gridsize"]
-    for i, a in enumerate(num_cols):
-        for b in num_cols[i + 1:]:
-            if a not in sample or b not in sample:
-                continue
-            xv = sample[a].to_numpy()
-            yv = sample[b].to_numpy()
-            ok = np.isfinite(xv) & np.isfinite(yv)
-            xv, yv = xv[ok], yv[ok]
-            if xv.size == 0:
-                interactions[(a, b)] = pd.DataFrame(columns=["xbin", "ybin", "count"])
-                continue
-            xspan = (xv.max() - xv.min()) or 1.0
-            yspan = (yv.max() - yv.min()) or 1.0
-            xb = np.clip(((xv - xv.min()) / xspan * gs).astype(int), 0, gs - 1)
-            yb = np.clip(((yv - yv.min()) / yspan * gs).astype(int), 0, gs - 1)
-            flat = np.bincount(xb * gs + yb, minlength=gs * gs)
-            nz = np.nonzero(flat)[0]
-            interactions[(a, b)] = pd.DataFrame(
-                {"xbin": nz // gs, "ybin": nz % gs, "count": flat[nz]}
-            )
-
-    n_cells = nrows * len(df.columns)
-    inter = Intermediates(task="report")
-    inter["types"] = {c: t.value for c, t in types.items()}
-    inter["dataset_stats"] = {
-        "nrows": nrows,
-        "ncols": len(df.columns),
-        "n_numerical": len(num_cols),
-        "n_categorical": len(cat_cols),
-        "n_missing_cells": int(miss_counts.sum()),
-        "missing_pct": (float(miss_counts.sum()) / n_cells) if n_cells else 0.0,
-        "n_duplicate_rows": n_dup,
+    interactions = {
+        (a, b): numutils.hexbin_counts(
+            sample[a].to_numpy(), sample[b].to_numpy(), cfg["hexbin.gridsize"]
+        )
+        for i, a in enumerate(num_cols)
+        for b in num_cols[i + 1:]
     }
+
+    inter = Intermediates(task="report")
+    inter["types"] = types
+    inter["dataset_stats"] = overview["dataset_stats"]
     inter["variables"] = variables
     inter["interactions"] = interactions
     inter["correlations"] = corr
@@ -236,7 +185,7 @@ def compute_report(df: DataFrame, cfg: Config) -> Intermediates:
         "nullity_corr": nullity,
         "dendrogram": dendrogram,
     }
-    inter["value_counts"] = value_counts
+    inter["value_counts"] = overview["value_counts"]
     return inter
 
 

@@ -4,9 +4,18 @@ Numerical column → column statistics, histogram, KDE plot, normal Q-Q
 plot, box plot. Categorical column → column statistics, bar chart, pie
 chart, word cloud (word frequencies) and word-frequency table.
 
-All distributed work is funneled through the fused kernels in
-``core.compute``; driver-side numpy handles KDE/Q-Q/box from the already
-reduced intermediates (§5.2 two-phase split).
+Each column type has two halves (the paper's §5.2 two-phase split):
+
+* a Spark phase, ``compute_numerical`` / ``compute_categorical``, that
+  runs the fused kernels of ``core.compute`` restricted to one column:
+  the stats pass with the Q-Q quantile sketch, the histogram and the
+  sample for numericals; the stats pass, value counts and words for
+  categoricals;
+* a driver-side phase, ``shape_numerical`` / ``shape_categorical``, that
+  turns those reduced pieces into the column's intermediates. It is the
+  one home of the KDE, Q-Q, box/outlier, bar and pie rules;
+  ``report.compute_report`` calls it with the pieces of its own fused
+  passes, so a report's column section is what ``plot(df, col)`` returns.
 """
 from __future__ import annotations
 
@@ -22,9 +31,20 @@ from repro.core.intermediates import Intermediates
 from repro.substrate import numutils
 from repro.substrate.sparkutils import missing_sql, quote
 
-#: probabilities of the Q-Q plot are appended to the shared stats quantiles
-#: so one ``approxQuantile`` call serves the stats table, box plot and Q-Q
-#: plot (paper §4.2: quantiles computed once, distributed to each viz).
+
+def qq_probs(cfg: Config) -> tuple[float, ...]:
+    """Probabilities of the ``qq.points`` points of the normal Q-Q plot."""
+    n = cfg["qq.points"]
+    return tuple((i + 0.5) / n for i in range(n))
+
+
+def sketch_probs(cfg: Config) -> tuple[float, ...]:
+    """Every probability the stats pass sketches for a numerical column.
+
+    One quantile sketch serves the stats table, the box plot and the Q-Q
+    plot (paper §4.2: quantiles computed once, distributed to each viz).
+    """
+    return tuple(sorted(set(compute.STATS_QUANTILES) | set(qq_probs(cfg))))
 
 
 def box_plot_stats(q: dict[float, float], whisker: float) -> dict[str, float]:
@@ -41,57 +61,25 @@ def box_plot_stats(q: dict[float, float], whisker: float) -> dict[str, float]:
     }
 
 
-def compute_numerical(
-    df: DataFrame,
+def shape_numerical(
     col: str,
+    stats: dict[str, object],
+    hist: tuple[np.ndarray, np.ndarray],
+    sample: pd.Series,
+    nrows: int,
     cfg: Config,
-    *,
-    stats: dict[str, object] | None = None,
-    quantiles: dict[float, float] | None = None,
-    hist: tuple[np.ndarray, np.ndarray] | None = None,
-    sample: pd.Series | None = None,
 ) -> Intermediates:
-    """Intermediates for univariate analysis of a numerical column.
+    """Intermediates of a numerical column from its reduced pieces.
 
-    Precomputed pieces (from a report-level fused pass) can be injected via
-    keyword arguments; anything missing is computed here with the same
-    fused kernels restricted to one column.
+    ``stats`` is the column's entry of ``basic_stats_pass`` run with
+    ``quantile_probs=sketch_probs(cfg)``, ``hist`` its ``histogram_pass``
+    entry, ``sample`` its non-missing sampled values and ``nrows`` the
+    table's row count.
     """
-    types = {col: EDAType.NUMERICAL}
-    qq_probs = tuple(
-        (i + 0.5) / cfg["qq.points"] for i in range(cfg["qq.points"])
-    )
-    all_probs = tuple(sorted(set(compute.STATS_QUANTILES) | set(qq_probs)))
-    if stats is None:
-        # quantile sketch rides in the same fused agg as the stats
-        stats = dict(compute.basic_stats_pass(df, types, quantile_probs=all_probs)[col])
-        if quantiles is None:
-            quantiles = stats.pop("quantiles")
-        else:
-            stats.pop("quantiles", None)
-    nrows = int(stats.get("nrows_total") or (int(stats["count"]) + int(stats["nmissing"])))
-
-    if quantiles is None or not all(p in quantiles for p in qq_probs):
-        quantiles = compute.quantiles_pass(df, [col], types, probs=all_probs)[col]
-
-    if hist is None:
-        hist = compute.histogram_pass(
-            df, [col], types, {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
-        )[col]
+    probs = qq_probs(cfg)
+    quantiles = stats["quantiles"]
     counts, edges = hist
 
-    if sample is None:
-        n_sample = cfg["kde.sample_size"]
-        pdf = compute.sample_pass(
-            df.where(f"NOT {missing_sql(col, dict(df.dtypes)[col])}"),
-            [col],
-            n_sample,
-            cfg["compute.seed"],
-            total_rows=int(stats["count"]),
-        )
-        sample = pdf[col].astype("float64")
-
-    # -- driver-side (pandas-phase) kernels ------------------------------
     mn, mx = stats["min"], stats["max"]
     if mn is not None and mx is not None and np.isfinite([mn, mx]).all():
         grid = np.linspace(float(mn), float(mx), cfg["kde.grid_points"])
@@ -102,12 +90,12 @@ def compute_numerical(
 
     mean = stats.get("mean")
     std = stats.get("std")
-    theo = numutils.norm_ppf(np.array(qq_probs))
+    theo = numutils.norm_ppf(np.array(probs))
     if mean is not None and std not in (None, 0) and std == std:
         theoretical = float(mean) + float(std) * theo
     else:
-        theoretical = np.full(len(qq_probs), np.nan)
-    sample_q = np.array([quantiles[p] for p in qq_probs], dtype="float64")
+        theoretical = np.full(len(probs), np.nan)
+    sample_q = np.array([quantiles[p] for p in probs], dtype="float64")
 
     if all(quantiles.get(p) is not None for p in (0.25, 0.5, 0.75)):
         box = box_plot_stats(quantiles, cfg["box.whisker"])
@@ -131,6 +119,28 @@ def compute_numerical(
     inter["qq"] = {"theoretical": theoretical, "sample": sample_q}
     inter["box"] = box
     return inter
+
+
+def compute_numerical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
+    """Intermediates for univariate analysis of a numerical column.
+
+    Three Spark passes restricted to ``col`` (stats with the quantile
+    sketch, histogram, sample), then ``shape_numerical``.
+    """
+    types = {col: EDAType.NUMERICAL}
+    table = compute.basic_stats_pass(df, types, quantile_probs=sketch_probs(cfg))
+    stats = table[col]
+    hist = compute.histogram_pass(
+        df, [col], types, {col: (stats["min"], stats["max"])}, cfg["hist.bins"]
+    )[col]
+    sample = compute.sample_pass(
+        df.where(f"NOT {missing_sql(col, dict(df.dtypes)[col])}"),
+        [col],
+        cfg["kde.sample_size"],
+        cfg["compute.seed"],
+        total_rows=int(stats["count"]),
+    )[col].astype("float64")
+    return shape_numerical(col, stats, hist, sample, int(table["__table__"]["nrows"]), cfg)
 
 
 def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
@@ -168,29 +178,27 @@ def word_frequency_pass(df: DataFrame, col: str, top_n: int) -> Intermediates:
     return inter
 
 
-def compute_categorical(
-    df: DataFrame,
+def shape_categorical(
     col: str,
+    stats: dict[str, object],
+    value_counts: pd.Series,
+    nrows: int,
     cfg: Config,
-    *,
-    stats: dict[str, object] | None = None,
-    value_counts: pd.Series | None = None,
-    with_words: bool = True,
 ) -> Intermediates:
-    """Intermediates for univariate analysis of a categorical column."""
-    types = {col: EDAType.CATEGORICAL}
-    if stats is None:
-        stats = compute.basic_stats_pass(df, types)[col]
-    if value_counts is None:
-        value_counts = compute.value_counts_pass(df, [col])[col]
+    """Intermediates of a categorical column from its reduced pieces.
 
+    ``stats`` is the column's ``basic_stats_pass`` entry, ``value_counts``
+    its ``value_counts_pass`` series (exact ``n_distinct`` and ``n_total``
+    in its ``attrs``) and ``nrows`` the table's row count.
+    """
+    n_total = value_counts.attrs["n_total"]
     inter = Intermediates(task=f"univariate:{col}")
     inter["col"] = col
     inter["type"] = EDAType.CATEGORICAL.value
-    n_total = value_counts.attrs.get("n_total", int(value_counts.sum()))
+    inter["nrows"] = nrows
     inter["stats"] = {
         **stats,
-        "n_distinct_exact": value_counts.attrs.get("n_distinct", len(value_counts)),
+        "n_distinct_exact": value_counts.attrs["n_distinct"],
         "n_total": n_total,
     }
     inter["bar"] = value_counts.head(cfg["bar.top_n"])
@@ -199,14 +207,19 @@ def compute_categorical(
     if other > 0:
         pie = pd.concat([pie, pd.Series({"(other)": other})])
     inter["pie"] = pie
-    if with_words:
-        words = word_frequency_pass(df, col, cfg["wordfreq.top_n"])
-        inter["words"] = {
-            "word_counts": words["word_counts"],
-            "n_words": words["n_words"],
-            "n_distinct_words": words["n_distinct_words"],
-            "mean_word_length": words["mean_word_length"],
-        }
+    return inter
+
+
+def compute_categorical(df: DataFrame, col: str, cfg: Config) -> Intermediates:
+    """Intermediates for univariate analysis of a categorical column.
+
+    The stats and value-count passes restricted to ``col``, then
+    ``shape_categorical``, plus the word frequencies.
+    """
+    table = compute.basic_stats_pass(df, {col: EDAType.CATEGORICAL})
+    value_counts = compute.value_counts_pass(df, [col])[col]
+    inter = shape_categorical(col, table[col], value_counts, int(table["__table__"]["nrows"]), cfg)
+    inter["words"] = dict(word_frequency_pass(df, col, cfg["wordfreq.top_n"]).data)
     return inter
 
 

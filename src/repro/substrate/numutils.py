@@ -7,6 +7,7 @@ arrays — they belong to the "pandas Computation" phase of the pipeline
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
 __all__ = [
     "norm_ppf",
@@ -16,6 +17,7 @@ __all__ = [
     "ks_distance",
     "uniformity_pvalue_stat",
     "pearson",
+    "hexbin_counts",
 ]
 
 
@@ -163,3 +165,27 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 2 or x.std() == 0 or y.std() == 0:
         return float("nan")
     return float(np.corrcoef(x, y)[0, 1])
+
+
+def hexbin_counts(x: np.ndarray, y: np.ndarray, gridsize: int) -> pd.DataFrame:
+    """Non-empty cells of a ``gridsize``×``gridsize`` equi-width grid over
+    the pairs where both ``x`` and ``y`` are finite.
+
+    Each axis spans its finite min to max (a constant axis puts every value
+    in bin 0; the max lands in the last bin). Returns ``xbin``, ``ybin``
+    and ``count`` columns in row-major cell order.
+    """
+    x = np.asarray(x, dtype="float64")
+    y = np.asarray(y, dtype="float64")
+    ok = np.isfinite(x) & np.isfinite(y)
+    x, y = x[ok], y[ok]
+    if x.size == 0:
+        return pd.DataFrame(columns=["xbin", "ybin", "count"])
+
+    def bins(v: np.ndarray) -> np.ndarray:
+        span = (v.max() - v.min()) or 1.0
+        return np.clip(((v - v.min()) / span * gridsize).astype(int), 0, gridsize - 1)
+
+    flat = np.bincount(bins(x) * gridsize + bins(y), minlength=gridsize * gridsize)
+    nz = np.nonzero(flat)[0]
+    return pd.DataFrame({"xbin": nz // gridsize, "ybin": nz % gridsize, "count": flat[nz]})

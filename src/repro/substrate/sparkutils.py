@@ -143,17 +143,16 @@ def with_row_index(df: DataFrame, name: str = "row_index") -> DataFrame:
     )
 
 
-def null_indicators(df: DataFrame, cols: list[str] | None = None, *, nan_is_missing: bool = True) -> DataFrame:
-    """0/1 missingness indicator frame with the same column names.
+def null_indicators(df: DataFrame, cols: list[str] | None = None) -> DataFrame:
+    """0/1 missingness indicator frame (``missing_sql``) with the same
+    column names.
 
-    ``NaN`` in float columns counts as missing when ``nan_is_missing`` —
-    matching pandas semantics that Pandas-profiling and Missingno assume.
-    Non-float types (strings) only check ``isNull``.
+    ``NaN`` in float columns counts as missing — the pandas semantics that
+    Pandas-profiling and Missingno assume. Non-float types (strings) only
+    check ``isNull``.
     """
     cols = cols or df.columns
     dtypes = dict(df.dtypes)
-    preds = {
-        c: missing_sql(c, dtypes[c]) if nan_is_missing else f"({quote(c)} IS NULL)"
-        for c in cols
-    }
-    return df.selectExpr(*[f"CAST({p} AS INT) AS {quote(c)}" for c, p in preds.items()])
+    return df.selectExpr(
+        *[f"CAST({missing_sql(c, dtypes[c])} AS INT) AS {quote(c)}" for c in cols]
+    )

@@ -208,15 +208,15 @@ def test_value_counts_cap_on_high_cardinality(spark):
 
 
 def test_quantiles_pass_accuracy(titanic, titanic_pdf, types):
-    q = compute.quantiles_pass(titanic, ["num_0"], types, rel_err=0.0001)["num_0"]
+    """The stats pass's quantile sketch is within ±1 % rank of pandas."""
+    stats = compute.basic_stats_pass(
+        titanic, types, ["num_0"], quantile_probs=compute.STATS_QUANTILES
+    )
+    q = stats["num_0"]["quantiles"]
     s = titanic_pdf["num_0"].dropna()
-    for p in (0.25, 0.5, 0.75):
+    for p in compute.STATS_QUANTILES:
         lo, hi = s.quantile(max(p - 0.01, 0)), s.quantile(min(p + 0.01, 1))
         assert lo - 1e-9 <= q[p] <= hi + 1e-9
-
-
-def test_quantiles_pass_empty_cols(titanic, types):
-    assert compute.quantiles_pass(titanic, [], types) == {}
 
 
 def test_sample_pass_cap_and_determinism(titanic):

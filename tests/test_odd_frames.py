@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baseline import eager_profile_report
 from repro.core import create_report, plot, plot_correlation, plot_missing
 
 ODD = ["a.b", "c d", "e`f", "g"]
@@ -71,6 +72,37 @@ def test_odd_names_correlation(odd, odd_pdf):
     )
 
 
+@pytest.mark.parametrize("x,y", [("a.b", "e`f"), ("e`f", "g")])
+def test_odd_names_num_num(odd, odd_pdf, x, y):
+    inter = plot(odd, x, y).intermediates
+    want = int((odd_pdf[x].notna() & odd_pdf[y].notna()).sum())
+    assert inter["kind"] == "NN"
+    assert inter["hexbin"]["count"].sum() == want
+    assert inter["binned_box"]["count"].sum() == want
+    assert list(inter["scatter"].columns) == [x, y]
+
+
+@pytest.mark.parametrize("x,y", [("a.b", "c d"), ("c d", "e`f")])
+def test_odd_names_num_cat(odd, odd_pdf, x, y):
+    num, cat = (x, y) if x != "c d" else (y, x)
+    inter = plot(odd, x, y).intermediates
+    want = odd_pdf[odd_pdf[num].notna()][cat].value_counts().to_dict()
+    assert inter["kind"] == "NC"
+    assert dict(zip(inter["cat_box"]["g"], inter["cat_box"]["count"])) == want
+    assert {g: int(v.sum()) for g, v in inter["lines"].items()} == want
+
+
+def test_odd_names_eager_baseline(odd, odd_pdf):
+    inter = eager_profile_report(odd)
+    assert inter["dataset_stats"]["nrows"] == len(odd_pdf)
+    assert inter["missing"]["bar"].to_dict() == odd_pdf.isna().sum().to_dict()
+    for c in ODD:
+        assert inter["variables"][c]["count"] == odd_pdf[c].notna().sum()
+        assert inter["variables"][c]["nmissing"] == odd_pdf[c].isna().sum()
+    grid = inter["interactions"][("a.b", "e`f")]
+    assert grid["count"].sum() == (odd_pdf["a.b"].notna() & odd_pdf["e`f"].notna()).sum()
+
+
 @pytest.fixture(scope="module")
 def inf_pdf() -> pd.DataFrame:
     g = np.random.default_rng(11)
@@ -127,3 +159,13 @@ def test_plot_num_cat_with_inf(spark, inf_pdf):
     assert inter["kind"] == "NC"
     assert dict(zip(inter["cat_box"]["g"], inter["cat_box"]["count"])) == want
     assert {g: int(v.sum()) for g, v in inter["lines"].items()} == want
+
+
+def test_eager_interactions_mask_inf(spark, inf_pdf):
+    """One ±inf cell must not stretch the baseline's hexbin span: the grid
+    bins the pairs where both values are finite, like the report's."""
+    df = spark.createDataFrame(inf_pdf)
+    grid = eager_profile_report(df, config={"correlation.methods": ()})["interactions"][("c2", "c3")]
+    c2, c3 = inf_pdf["c2"].to_numpy(), inf_pdf["c3"].to_numpy()
+    assert grid["count"].sum() == (np.isfinite(c2) & np.isfinite(c3)).sum()
+    assert grid["xbin"].nunique() > 1

@@ -108,6 +108,17 @@ class TestBaselineAgreement:
         b = baseline_report["missing"]["bar"]
         assert a.sort_index().to_dict() == b.sort_index().to_dict()
 
+    def test_interactions_agree(self, report_result, baseline_report):
+        a = report_result.intermediates["interactions"]
+        b = baseline_report["interactions"]
+        assert set(a) == set(b)
+
+        def cells(grid):
+            return set(zip(*(grid[k].astype(int).tolist() for k in ("xbin", "ybin", "count"))))
+
+        for pair in a:
+            assert cells(a[pair]) == cells(b[pair]), pair
+
     def test_nullity_corr_agrees(self, report_result, baseline_report):
         a = report_result.intermediates["missing"]["nullity_corr"]
         b = baseline_report["missing"]["nullity_corr"]

@@ -57,15 +57,13 @@ def test_null_indicators_counts_nan_and_null(small):
 
 
 def test_null_indicators_nan_flag_on_true_nan(spark):
-    # pandas ingestion converts NaN->NULL, so build a *computed* NaN: only
-    # a genuine float NaN distinguishes the two flag settings.
+    # pandas ingestion converts NaN->NULL, so build a *computed* NaN: a
+    # genuine float NaN must count as missing next to the NULL.
     df = spark.sql(
         "SELECT * FROM VALUES (CAST('NaN' AS DOUBLE)), (1.0), (NULL) AS t(a)"
     )
-    with_nan = null_indicators(df, ["a"], nan_is_missing=True).toPandas()
-    without = null_indicators(df, ["a"], nan_is_missing=False).toPandas()
+    with_nan = null_indicators(df, ["a"]).toPandas()
     assert with_nan["a"].sum() == 2  # NaN and NULL
-    assert without["a"].sum() == 1   # NULL only
 
 
 def test_null_indicators_subset(small):

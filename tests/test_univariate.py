@@ -147,3 +147,22 @@ def test_box_plot_stats_shared_quantiles():
     assert box["iqr"] == 3.0
     assert box["lower_whisker"] == 1.0 - 4.5
     assert box["upper_whisker"] == 4.0 + 4.5
+
+
+class TestRowCount:
+    """``nrows`` is the table's row count, whatever the cells hold."""
+
+    def test_numeric_nrows_counts_inf_rows(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"x": [1.0, np.inf, -np.inf, np.nan, None, 2.0]})
+        )
+        r = plot(df, "x")
+        inter = r.intermediates
+        assert inter["nrows"] == 6
+        nmissing = int(inter["stats"]["nmissing"])
+        assert nmissing == 2
+        (miss,) = [i for i in r.insights if i.kind == "missing"]
+        assert miss.value == nmissing / 6
+
+    def test_categorical_carries_nrows(self, cat_result, titanic_pdf):
+        assert cat_result.intermediates["nrows"] == len(titanic_pdf)
